@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "spacefts/check/fault_oracle.hpp"
 #include "spacefts/core/algo_ngst.hpp"
 #include "spacefts/core/algo_otis.hpp"
 #include "spacefts/core/kernel.hpp"
@@ -173,6 +174,54 @@ void BM_SecDedScrub(benchmark::State& state) {
                           static_cast<std::int64_t>(pixels.size() * 2));
 }
 BENCHMARK(BM_SecDedScrub);
+
+/// Memory-fault injection over one 256x256x8 flight (524288 words) at
+/// Γ₀ = range(0) / 1e6.  The production position sampler (mask16, and
+/// inject16 beside it) pays one draw and one log1p per flip; the per-bit
+/// reference sampler pays one draw per bit.  The sweep up to Γ₀ = 0.2 shows
+/// where the log1p per flip catches up with the draw per bit.  Items = bits.
+constexpr std::size_t kFaultWords = 256 * 256 * 8;
+
+double fault_gamma0(const benchmark::State& state) {
+  return static_cast<double>(state.range(0)) / 1e6;
+}
+
+void BM_FaultMask16(benchmark::State& state) {
+  const spacefts::fault::UncorrelatedFaultModel model(fault_gamma0(state));
+  spacefts::common::Rng rng(0xFA17);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.mask16(kFaultWords, rng));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kFaultWords * 16));
+}
+BENCHMARK(BM_FaultMask16)->Arg(1000)->Arg(10000)->Arg(200000);
+
+void BM_FaultInject16(benchmark::State& state) {
+  const spacefts::fault::UncorrelatedFaultModel model(fault_gamma0(state));
+  spacefts::common::Rng rng(0xFA17);
+  std::vector<std::uint16_t> data(kFaultWords, 0x4321);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.inject16(data, rng));
+    benchmark::DoNotOptimize(data.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kFaultWords * 16));
+}
+BENCHMARK(BM_FaultInject16)->Arg(1000)->Arg(10000)->Arg(200000);
+
+void BM_FaultMask16PerBit(benchmark::State& state) {
+  const double gamma0 = fault_gamma0(state);
+  spacefts::common::Rng rng(0xFA17);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        spacefts::check::oracle_uncorrelated_mask16(gamma0, kFaultWords, rng));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kFaultWords * 16));
+}
+BENCHMARK(BM_FaultMask16PerBit)->Arg(1000)->Arg(10000)->Arg(200000);
 
 /// Cost of an instrumentation point when telemetry is compiled in but
 /// runtime-disabled — the flight configuration.  This is the overhead every

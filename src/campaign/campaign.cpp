@@ -243,7 +243,9 @@ std::string to_jsonl(const CampaignReport& report) {
   std::string out;
   out.reserve(report.cells.size() * 512);
   for (const CellResult& c : report.cells) {
-    out += "{\"bench\":\"fault_campaign\"";
+    // The sampler names the memory-fault RNG stream the seeded row was
+    // drawn from, so a stream change shows up in the committed artifact.
+    out += "{\"bench\":\"fault_campaign\",\"sampler\":\"geometric\"";
     append_fmt(out, ",\"gamma0\":%.10g", c.gamma0);
     append_fmt(out, ",\"crash_prob\":%.10g", c.crash_prob);
     append_fmt(out, ",\"link_loss\":%.10g", c.link_loss);

@@ -159,7 +159,8 @@ std::string to_jsonl(const DownlinkSweepReport& report) {
   std::string out;
   out.reserve(report.cells.size() * 320);
   for (const DownlinkCellResult& c : report.cells) {
-    out += "{\"bench\":\"downlink_fidelity\"";
+    // Names the memory-fault RNG stream, as on fault_campaign rows.
+    out += "{\"bench\":\"downlink_fidelity\",\"sampler\":\"geometric\"";
     out += ",\"workload\":\"";
     out += downlink::to_string(c.workload);
     out += "\"";

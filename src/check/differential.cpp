@@ -229,9 +229,7 @@ void run_metamorphic(const CaseSpec& spec, CaseResult& result) {
   auto series = sim.sequence(std::max<std::size_t>(spec.frames, 4));
   if (spec.gamma > 0.0) {
     auto rng = fault_rng(spec);
-    const auto mask =
-        fault::UncorrelatedFaultModel(spec.gamma).mask16(series.size(), rng);
-    fault::apply_mask<std::uint16_t>(series, mask);
+    fault::UncorrelatedFaultModel(spec.gamma).inject16(series, rng);
   }
   const double lambda_hi = std::max(spec.lambda, 2.0);
   const double lambda_lo = std::max(1.0, lambda_hi * 0.5);
@@ -255,9 +253,8 @@ void run_metamorphic(const CaseSpec& spec, CaseResult& result) {
   auto stack = sim.stack(std::max<std::size_t>(spec.frames, 4), scene);
   if (spec.gamma > 0.0) {
     auto rng = fault_rng(spec);
-    const auto mask = fault::UncorrelatedFaultModel(spec.gamma)
-                          .mask16(stack.cube().size(), rng);
-    fault::apply_mask<std::uint16_t>(stack.cube().voxels(), mask);
+    fault::UncorrelatedFaultModel(spec.gamma)
+        .inject16(stack.cube().voxels(), rng);
   }
   apply(check_kernel_invariance(stack, config), "kernel_invariance", result);
 }

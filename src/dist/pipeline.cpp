@@ -136,10 +136,8 @@ struct WorkerOutput {
   WorkerOutput out{common::Image<float>{}, 0, 0};
   // Bit flips strike the tile while it sits in the worker's data memory.
   if (config.gamma0 > 0.0) {
-    const fault::UncorrelatedFaultModel model(config.gamma0);
-    auto mask = model.mask16(tile.cube().size(), rng);
-    out.faults = fault::count_faults<std::uint16_t>(mask);
-    fault::apply_mask<std::uint16_t>(tile.cube().voxels(), mask);
+    out.faults = fault::UncorrelatedFaultModel(config.gamma0)
+                     .inject16(tile.cube().voxels(), rng);
   }
   // Preprocessing: per-coordinate over the tile's time series.
   switch (config.preprocess) {

@@ -200,12 +200,9 @@ ChainReport run_chain(const ChainConfig& config) {
   if (config.gamma0 > 0.0) {
     common::Rng memory_rng(
         common::derive_stream_seed(config.seed, kStreamMemory, 0));
-    const fault::UncorrelatedFaultModel memory(config.gamma0);
-    const auto mask =
-        memory.mask16(stack.cube().voxels().size(), memory_rng);
     report.memory_bits_flipped =
-        fault::count_faults<std::uint16_t>(mask);
-    fault::apply_mask<std::uint16_t>(stack.cube().voxels(), mask);
+        fault::UncorrelatedFaultModel(config.gamma0)
+            .inject16(stack.cube().voxels(), memory_rng);
   }
   if (config.preprocess) {
     core::AlgoNgstReport voter;

@@ -6,7 +6,9 @@
 /// correction/false-alarm accounting in spacefts::metrics, and lets one
 /// fault pattern be replayed against several preprocessing algorithms —
 /// exactly how the paper compares Algo_NGST with the smoothing baselines on
-/// identical corrupted inputs.
+/// identical corrupted inputs.  Paths that only apply the faults (the
+/// downlink chain, the dist worker) use UncorrelatedFaultModel::inject16,
+/// which places the same flips in place without building the mask.
 ///
 /// * UncorrelatedFaultModel — every bit flips i.i.d. with probability Γ₀,
 ///   modelling flips at the source, in transit, or in memory (§2.2.2).
@@ -34,6 +36,12 @@ template <std::unsigned_integral T>
 inline constexpr std::size_t kBitsPerWord = sizeof(T) * 8;
 
 /// Uncorrelated i.i.d. bit flips (§2.2.2).
+///
+/// Every entry point runs one position sampler: it draws the gap to the next
+/// flipped bit from Geometric(Γ₀) rather than one Bernoulli(Γ₀) per bit, so
+/// the cost is O(flips), not O(bits), and the law is still exactly i.i.d.
+/// Bernoulli(Γ₀) per bit.  For equal seeds mask16() and inject16() consume
+/// the same draws and place the same flips.
 class UncorrelatedFaultModel {
  public:
   /// \param gamma0 static per-bit flip probability Γ₀ in [0, 1].
@@ -49,6 +57,11 @@ class UncorrelatedFaultModel {
   /// Generates an XOR mask for \p words 32-bit words.
   [[nodiscard]] std::vector<std::uint32_t> mask32(std::size_t words,
                                                   common::Rng& rng) const;
+
+  /// XORs the flips straight into \p data and returns how many bits it
+  /// flipped.  Byte for byte the same as apply_mask(data, mask16(data.size(),
+  /// rng)) at an equal seed, without the dense mask or the counting pass.
+  std::size_t inject16(std::span<std::uint16_t> data, common::Rng& rng) const;
 
  private:
   template <std::unsigned_integral T>

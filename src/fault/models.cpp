@@ -8,8 +8,37 @@ namespace spacefts::fault {
 
 // ---------------------------------------------------------------- uncorrelated
 
+namespace {
+
+/// The one position sampler behind every uncorrelated entry point.  It walks
+/// the flat bit field [0, bits) and calls \p on_flip(position) for each
+/// flipped bit, in increasing order.  Instead of one Bernoulli(Γ₀) draw per
+/// bit it draws the run of clean bits before the next flip directly:
+///     gap = floor(log1p(-u) / log1p(-Γ₀)),   u ~ U[0, 1),
+/// so P(gap >= k) = P(1 - u <= (1 - Γ₀)^k) = (1 - Γ₀)^k — the Geometric(Γ₀)
+/// law of the distance between successes of i.i.d. Bernoulli(Γ₀) trials.
+/// The flips are therefore exactly the i.i.d. field of §2.2.2, at one draw
+/// per flip (plus one that runs off the end) instead of one per bit.
+/// Γ₀ = 0 and an empty field consume no draws; Γ₀ = 1 gives log1p(-1) = -∞,
+/// so every gap is 0 and every bit flips.
+template <typename OnFlip>
+void sample_flips(double gamma0, std::size_t bits, common::Rng& rng,
+                  OnFlip&& on_flip) {
+  if (gamma0 <= 0.0 || bits == 0) return;
+  const double log_keep = std::log1p(-gamma0);
+  for (std::size_t next = 0;;) {
+    const double gap = std::floor(std::log1p(-rng.uniform()) / log_keep);
+    // Compared as doubles: a gap past the end may exceed std::size_t.
+    if (!(gap < static_cast<double>(bits - next))) return;
+    next += static_cast<std::size_t>(gap);
+    on_flip(next++);
+  }
+}
+
+}  // namespace
+
 UncorrelatedFaultModel::UncorrelatedFaultModel(double gamma0) : gamma0_(gamma0) {
-  if (gamma0 < 0.0 || gamma0 > 1.0) {
+  if (!(gamma0 >= 0.0 && gamma0 <= 1.0)) {
     throw std::invalid_argument("UncorrelatedFaultModel: gamma0 outside [0, 1]");
   }
 }
@@ -18,14 +47,10 @@ template <std::unsigned_integral T>
 std::vector<T> UncorrelatedFaultModel::mask(std::size_t words,
                                             common::Rng& rng) const {
   std::vector<T> out(words, T{0});
-  if (gamma0_ <= 0.0) return out;
-  for (auto& word : out) {
-    T m = 0;
-    for (std::size_t b = 0; b < kBitsPerWord<T>; ++b) {
-      if (rng.bernoulli(gamma0_)) m = static_cast<T>(m | (T{1} << b));
-    }
-    word = m;
-  }
+  sample_flips(gamma0_, words * kBitsPerWord<T>, rng, [&](std::size_t bit) {
+    T& word = out[bit / kBitsPerWord<T>];
+    word = static_cast<T>(word | (T{1} << (bit % kBitsPerWord<T>)));
+  });
   return out;
 }
 
@@ -37,6 +62,17 @@ std::vector<std::uint16_t> UncorrelatedFaultModel::mask16(
 std::vector<std::uint32_t> UncorrelatedFaultModel::mask32(
     std::size_t words, common::Rng& rng) const {
   return mask<std::uint32_t>(words, rng);
+}
+
+std::size_t UncorrelatedFaultModel::inject16(std::span<std::uint16_t> data,
+                                             common::Rng& rng) const {
+  std::size_t flipped = 0;
+  sample_flips(gamma0_, data.size() * 16, rng, [&](std::size_t bit) {
+    data[bit / 16] = static_cast<std::uint16_t>(data[bit / 16] ^
+                                                (1u << (bit % 16)));
+    ++flipped;
+  });
+  return flipped;
 }
 
 // ------------------------------------------------------------------ correlated

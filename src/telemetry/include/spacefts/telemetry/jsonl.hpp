@@ -20,6 +20,8 @@
 #include <string_view>
 #include <vector>
 
+#include <unistd.h>
+
 namespace spacefts::telemetry::jsonl {
 
 /// Escapes \p text for embedding inside a double-quoted JSON string:
@@ -124,8 +126,10 @@ inline void append_fmt(std::string& out, const char* format, double value) {
 /// `key_of` maps a row to its configuration identity; among duplicates the
 /// newest row wins.  This is the shared upsert under every BENCH_*.json
 /// recorder — re-running a bench or campaign replaces its rows instead of
-/// accumulating them.  Returns false (with a message on stderr) when the
-/// file cannot be rewritten.
+/// accumulating them.  The file is replaced by a rename, so a reader or an
+/// interrupted writer sees either the old rows or the new ones.  Returns
+/// false (with a message on stderr, the old file untouched) when the file
+/// cannot be rewritten.
 inline bool upsert_jsonl(
     std::string_view text,
     const std::function<std::string(std::string_view)>& key_of,
@@ -168,12 +172,18 @@ inline bool upsert_jsonl(
       out_text += '\n';
     }
   }
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
+  // Write a sibling file and rename it over the target, so a write that
+  // fails part-way (disk full, size limit, a crash) leaves the old file
+  // whole instead of truncated.  The pid keeps concurrent writers apart.
+  const std::string staged = path + ".tmp." + std::to_string(::getpid());
+  std::ofstream out(staged, std::ios::trunc | std::ios::binary);
+  out << out_text;
+  out.close();
+  if (!out || std::rename(staged.c_str(), path.c_str()) != 0) {
+    std::remove(staged.c_str());
     std::fprintf(stderr, "jsonl: cannot rewrite %s\n", path.c_str());
     return false;
   }
-  out << out_text;
   return true;
 }
 

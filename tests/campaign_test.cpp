@@ -79,7 +79,8 @@ TEST(Campaign, JsonIsBitIdenticalAcrossThreadCounts) {
   const auto maximal = sc::to_jsonl(sc::run_campaign(config));
   EXPECT_EQ(serial, threaded);
   EXPECT_EQ(serial, maximal);
-  EXPECT_NE(serial.find("\"bench\":\"fault_campaign\""), std::string::npos);
+  EXPECT_NE(serial.find("\"bench\":\"fault_campaign\",\"sampler\":\"geometric\""),
+            std::string::npos);
 }
 
 TEST(Campaign, DifferentSeedsDiverge) {
@@ -299,7 +300,9 @@ TEST(DownlinkSweep, JsonlIsByteStableAcrossThreadCounts) {
   const auto serial = sc::to_jsonl(sc::run_downlink_sweep(config));
   config.threads = 4;
   EXPECT_EQ(sc::to_jsonl(sc::run_downlink_sweep(config)), serial);
-  EXPECT_NE(serial.find("\"bench\":\"downlink_fidelity\""), std::string::npos);
+  EXPECT_NE(
+      serial.find("\"bench\":\"downlink_fidelity\",\"sampler\":\"geometric\""),
+      std::string::npos);
   EXPECT_NE(serial.find("\"workload\":\"telemetry\""), std::string::npos);
 }
 

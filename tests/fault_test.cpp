@@ -2,10 +2,14 @@
 // injection/permutation helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
+#include <tuple>
 #include <vector>
 
+#include "spacefts/check/fault_oracle.hpp"
 #include "spacefts/common/random.hpp"
 #include "spacefts/fault/message_faults.hpp"
 #include "spacefts/fault/models.hpp"
@@ -18,15 +22,25 @@ using spacefts::common::Rng;
 TEST(Uncorrelated, ValidatesProbability) {
   EXPECT_THROW((void)sf::UncorrelatedFaultModel(-0.1), std::invalid_argument);
   EXPECT_THROW((void)sf::UncorrelatedFaultModel(1.1), std::invalid_argument);
+  EXPECT_THROW((void)sf::UncorrelatedFaultModel(std::nan("")),
+               std::invalid_argument);
   EXPECT_NO_THROW((void)sf::UncorrelatedFaultModel(0.0));
   EXPECT_NO_THROW((void)sf::UncorrelatedFaultModel(1.0));
 }
 
 TEST(Uncorrelated, ZeroProbabilityProducesEmptyMask) {
-  Rng rng(1);
+  const Rng pristine(1);
+  Rng rng = pristine;
   const sf::UncorrelatedFaultModel model(0.0);
   const auto mask = model.mask16(1000, rng);
   EXPECT_EQ(sf::count_faults<std::uint16_t>(mask), 0u);
+  // Every entry point leaves the data and the RNG untouched: zero draws.
+  EXPECT_EQ(sf::count_faults<std::uint32_t>(model.mask32(4096, rng)), 0u);
+  std::vector<std::uint16_t> data(4096, 0xABCD);
+  EXPECT_EQ(model.inject16(data, rng), 0u);
+  EXPECT_EQ(data, std::vector<std::uint16_t>(4096, 0xABCD));
+  Rng reference = pristine;
+  EXPECT_EQ(rng(), reference());
 }
 
 TEST(Uncorrelated, ProbabilityOneFlipsEverything) {
@@ -34,6 +48,13 @@ TEST(Uncorrelated, ProbabilityOneFlipsEverything) {
   const sf::UncorrelatedFaultModel model(1.0);
   const auto mask = model.mask16(10, rng);
   for (auto word : mask) EXPECT_EQ(word, 0xFFFF);
+  for (auto word : model.mask32(9, rng)) EXPECT_EQ(word, 0xFFFFFFFFu);
+  std::vector<std::uint16_t> data{0x0000, 0x1234, 0xFFFF};
+  EXPECT_EQ(model.inject16(data, rng), 48u);
+  EXPECT_EQ(data, (std::vector<std::uint16_t>{0xFFFF, 0xEDCB, 0x0000}));
+  for (auto word : spacefts::check::oracle_uncorrelated_mask16(1.0, 9, rng)) {
+    EXPECT_EQ(word, 0xFFFF);
+  }
 }
 
 TEST(Uncorrelated, EmpiricalRateMatchesGamma0) {
@@ -61,6 +82,220 @@ TEST(Uncorrelated, Mask32Works) {
                       static_cast<double>(1000 * 32);
   EXPECT_NEAR(rate, 0.5, 0.02);
 }
+
+TEST(Uncorrelated, InjectMatchesApplyMaskAtEqualSeeds) {
+  for (const double gamma0 : {1e-3, 0.05, 0.5}) {
+    const sf::UncorrelatedFaultModel model(gamma0);
+    for (const std::size_t words : {0u, 1u, 7u, 524288u}) {
+      Rng fill(words + 1);
+      std::vector<std::uint16_t> data(words);
+      for (auto& w : data) w = static_cast<std::uint16_t>(fill());
+      auto expected = data;
+      Rng a(99), b(99);
+      const auto mask = model.mask16(words, a);
+      sf::apply_mask<std::uint16_t>(expected, mask);
+      EXPECT_EQ(model.inject16(data, b),
+                sf::count_faults<std::uint16_t>(mask))
+          << "gamma0=" << gamma0 << " words=" << words;
+      EXPECT_EQ(data, expected) << "gamma0=" << gamma0 << " words=" << words;
+      EXPECT_EQ(a(), b()) << "both consume the same draws";
+    }
+  }
+}
+
+// ------------------------------------------- conformance to the §2.2.2 law
+//
+// Goodness-of-fit of a sampled mask against i.i.d. Bernoulli(Γ₀) bits, run
+// on the production position sampler and on the per-bit reference sampler
+// of spacefts::check.  The seeds are fixed and every bound sits at a p-value
+// of 1e-6, so a correct sampler cannot flake and a biased one cannot hide.
+
+namespace {
+
+constexpr double kAlpha = 1e-6;
+
+/// Regularized upper incomplete gamma Q(a, x): a series below x = a + 1, a
+/// Lentz continued fraction above (Numerical Recipes §6.2).
+double gamma_q(double a, double x) {
+  if (x <= 0.0) return 1.0;
+  const double lead = std::exp(-x + a * std::log(x) - std::lgamma(a));
+  if (x < a + 1.0) {
+    double term = 1.0 / a;
+    double sum = term;
+    for (int n = 1; n < 10000 && term > sum * 1e-16; ++n) {
+      term *= x / (a + n);
+      sum += term;
+    }
+    return 1.0 - sum * lead;
+  }
+  constexpr double kTiny = 1e-300;
+  double b = x + 1.0 - a;
+  double c = 1.0 / kTiny;
+  double d = 1.0 / b;
+  double h = d;
+  for (int i = 1; i < 10000; ++i) {
+    const double an = -i * (i - a);
+    b += 2.0;
+    d = an * d + b;
+    if (std::abs(d) < kTiny) d = kTiny;
+    c = b + an / c;
+    if (std::abs(c) < kTiny) c = kTiny;
+    d = 1.0 / d;
+    h *= d * c;
+    if (std::abs(d * c - 1.0) < 1e-15) break;
+  }
+  return lead * h;
+}
+
+/// P(χ²_dof >= stat).
+double chi2_sf(double stat, std::size_t dof) {
+  return gamma_q(static_cast<double>(dof) / 2.0, stat / 2.0);
+}
+
+/// A sampled field: the flat positions of its flipped bits, in order.
+struct Field {
+  std::size_t bits = 0;
+  std::size_t bits_per_word = 0;
+  std::vector<std::size_t> flips;
+};
+
+template <typename T>
+Field field_of(const std::vector<T>& mask) {
+  Field f{mask.size() * sizeof(T) * 8, sizeof(T) * 8, {}};
+  for (std::size_t w = 0; w < mask.size(); ++w) {
+    for (std::size_t b = 0; b < f.bits_per_word; ++b) {
+      if ((mask[w] >> b) & 1u) f.flips.push_back(w * f.bits_per_word + b);
+    }
+  }
+  return f;
+}
+
+enum class Sampler { kMask16, kMask32, kInject16, kOracle16, kOracle32 };
+
+const char* name_of(Sampler s) {
+  switch (s) {
+    case Sampler::kMask16: return "mask16";
+    case Sampler::kMask32: return "mask32";
+    case Sampler::kInject16: return "inject16";
+    case Sampler::kOracle16: return "oracle16";
+    case Sampler::kOracle32: return "oracle32";
+  }
+  return "?";
+}
+
+/// Samples about 20k flips (or 64k words, whichever is more) at \p gamma0.
+Field sample(Sampler s, double gamma0) {
+  const bool wide = s == Sampler::kMask32 || s == Sampler::kOracle32;
+  const double bits_per_word = wide ? 32.0 : 16.0;
+  const auto words = std::max<std::size_t>(
+      65536, static_cast<std::size_t>(20000.0 / (gamma0 * bits_per_word)));
+  Rng rng(0xC0FFEE);
+  const sf::UncorrelatedFaultModel model(gamma0);
+  switch (s) {
+    case Sampler::kMask16: return field_of(model.mask16(words, rng));
+    case Sampler::kMask32: return field_of(model.mask32(words, rng));
+    case Sampler::kInject16: {
+      std::vector<std::uint16_t> data(words, 0);
+      model.inject16(data, rng);
+      return field_of(data);
+    }
+    case Sampler::kOracle16:
+      return field_of(
+          spacefts::check::oracle_uncorrelated_mask16(gamma0, words, rng));
+    case Sampler::kOracle32:
+      return field_of(
+          spacefts::check::oracle_uncorrelated_mask32(gamma0, words, rng));
+  }
+  return {};
+}
+
+using ConformanceParam = std::tuple<Sampler, double>;
+
+class UncorrelatedConformance
+    : public ::testing::TestWithParam<ConformanceParam> {
+ protected:
+  void SetUp() override {
+    gamma0_ = std::get<1>(GetParam());
+    field_ = sample(std::get<0>(GetParam()), gamma0_);
+  }
+  double gamma0_ = 0.0;
+  Field field_;
+};
+
+}  // namespace
+
+TEST(ChiSquare, SurvivalFunctionMatchesKnownQuantiles) {
+  EXPECT_NEAR(chi2_sf(4.0, 2), std::exp(-2.0), 1e-12);
+  EXPECT_NEAR(chi2_sf(15.507, 8), 0.05, 1e-4);
+  EXPECT_NEAR(chi2_sf(30.578, 15), 0.01, 1e-4);
+  EXPECT_NEAR(chi2_sf(61.098, 31), 0.001, 1e-5);
+}
+
+// Total flips K ~ Binomial(bits, Γ₀): |K − nΓ₀| ≤ 5σ (two-sided p ≈ 5.7e-7).
+TEST_P(UncorrelatedConformance, TotalFlipsFollowTheBinomial) {
+  const double n = static_cast<double>(field_.bits);
+  const double mean = n * gamma0_;
+  const double sigma = std::sqrt(n * gamma0_ * (1.0 - gamma0_));
+  EXPECT_LE(std::abs(static_cast<double>(field_.flips.size()) - mean),
+            5.0 * sigma);
+}
+
+// Flips land uniformly over the bit positions of a word.
+TEST_P(UncorrelatedConformance, BitPositionsAreUniform) {
+  std::vector<double> counts(field_.bits_per_word, 0.0);
+  for (std::size_t p : field_.flips) counts[p % field_.bits_per_word] += 1.0;
+  const double expected = static_cast<double>(field_.flips.size()) /
+                          static_cast<double>(field_.bits_per_word);
+  double stat = 0.0;
+  for (double c : counts) stat += (c - expected) * (c - expected) / expected;
+  EXPECT_GT(chi2_sf(stat, field_.bits_per_word - 1), kAlpha) << stat;
+}
+
+// The clean runs between flips follow Geometric(Γ₀): P(gap ≥ k) = (1−Γ₀)^k.
+// Bins are cut at the twentieths of that law, merged where they coincide.
+TEST_P(UncorrelatedConformance, GapsFollowTheGeometricLaw) {
+  const double log_keep = std::log1p(-gamma0_);
+  std::vector<std::size_t> edges{0};
+  for (int j = 1; j < 20; ++j) {
+    const auto edge = static_cast<std::size_t>(
+        std::ceil(std::log(1.0 - j / 20.0) / log_keep));
+    if (edge > edges.back()) edges.push_back(edge);
+  }
+  std::vector<double> observed(edges.size(), 0.0);
+  std::size_t previous_end = 0;  // first position after the previous flip
+  for (std::size_t p : field_.flips) {
+    const std::size_t gap = p - previous_end;
+    const auto bin = std::upper_bound(edges.begin(), edges.end(), gap) -
+                     edges.begin() - 1;
+    observed[static_cast<std::size_t>(bin)] += 1.0;
+    previous_end = p + 1;
+  }
+  const double gaps = static_cast<double>(field_.flips.size());
+  double stat = 0.0;
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const double upper =
+        i + 1 < edges.size()
+            ? std::exp(static_cast<double>(edges[i + 1]) * log_keep)
+            : 0.0;
+    const double expected =
+        gaps * (std::exp(static_cast<double>(edges[i]) * log_keep) - upper);
+    ASSERT_GE(expected, 5.0) << "bin " << i;
+    stat += (observed[i] - expected) * (observed[i] - expected) / expected;
+  }
+  EXPECT_GT(chi2_sf(stat, edges.size() - 1), kAlpha) << stat;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Samplers, UncorrelatedConformance,
+    ::testing::Combine(::testing::Values(Sampler::kMask16, Sampler::kMask32,
+                                         Sampler::kInject16, Sampler::kOracle16,
+                                         Sampler::kOracle32),
+                       ::testing::Values(1e-3, 0.05, 0.5)),
+    [](const ::testing::TestParamInfo<ConformanceParam>& info) {
+      const double g = std::get<1>(info.param);
+      return std::string(name_of(std::get<0>(info.param))) + "_gamma" +
+             (g == 1e-3 ? "1em3" : g == 0.05 ? "0p05" : "0p5");
+    });
 
 // ------------------------------------------------------- CorrelatedFaultModel
 

@@ -5,8 +5,15 @@
 // its "bit-identical, no output" contract under test too.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <csignal>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -323,6 +330,80 @@ TEST(JsonlAppendFmt, UsesTheGivenFormat) {
   std::string out = "x=";
   st::jsonl::append_fmt(out, "%.3f", 1.5);
   EXPECT_EQ(out, "x=1.500");
+}
+
+namespace {
+
+/// A fresh directory under the gtest temp root, removed on scope exit.
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& name)
+      : path_(std::filesystem::path(::testing::TempDir()) /
+              (name + "." + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directories(path_);
+  }
+  ~ScratchDir() { std::filesystem::remove_all(path_); }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+  [[nodiscard]] std::string file(const std::string& name) const {
+    return (path_ / name).string();
+  }
+  [[nodiscard]] std::size_t entries() const {
+    return static_cast<std::size_t>(
+        std::distance(std::filesystem::directory_iterator(path_),
+                      std::filesystem::directory_iterator()));
+  }
+
+ private:
+  std::filesystem::path path_;
+};
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Rows key on everything before the first comma.
+std::string key_before_comma(std::string_view row) {
+  return std::string(row.substr(0, row.find(',')));
+}
+
+}  // namespace
+
+TEST(JsonlUpsert, ReplacesKeyedRowsAndLeavesNoStagingFile) {
+  const ScratchDir dir("jsonl_upsert");
+  const std::string path = dir.file("BENCH_test.json");
+  ASSERT_TRUE(st::jsonl::upsert_jsonl("a,1\nb,1\n", key_before_comma, path));
+  ASSERT_TRUE(st::jsonl::upsert_jsonl("b,2\nc,2\n", key_before_comma, path));
+  EXPECT_EQ(slurp(path), "a,1\nb,2\nc,2\n");
+  EXPECT_EQ(dir.entries(), 1u);
+}
+
+// A write that dies part-way must not cost the rows already on disk.  The
+// file-size limit makes the staged write fail after 64 bytes, the way a full
+// disk would; rewriting in place would have truncated the original first.
+TEST(JsonlUpsert, FailedWriteLeavesTheOriginalWhole) {
+  const ScratchDir dir("jsonl_upsert_fail");
+  const std::string path = dir.file("BENCH_test.json");
+  ASSERT_TRUE(st::jsonl::upsert_jsonl("kept,1\n", key_before_comma, path));
+  const std::string before = slurp(path);
+
+  std::string big;
+  for (int i = 0; i < 200; ++i) big += "row" + std::to_string(i) + ",x\n";
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit small = saved;
+  small.rlim_cur = 64;
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &small), 0);
+  const bool ok = st::jsonl::upsert_jsonl(big, key_before_comma, path);
+  ::setrlimit(RLIMIT_FSIZE, &saved);
+  std::signal(SIGXFSZ, old_handler);
+
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(slurp(path), before);
+  EXPECT_EQ(dir.entries(), 1u) << "the staged file must be cleaned up";
 }
 
 // ------------------------------------------------------- windowed snapshots
