@@ -18,6 +18,7 @@
 #include "spacefts/core/kernel.hpp"
 #include "spacefts/datagen/ngst.hpp"
 #include "spacefts/datagen/otis_scenes.hpp"
+#include "spacefts/downlink/chain.hpp"
 #include "spacefts/edac/protected_memory.hpp"
 #include "spacefts/fault/models.hpp"
 #include "spacefts/fits/fits.hpp"
@@ -222,6 +223,57 @@ void BM_FaultMask16PerBit(benchmark::State& state) {
                           static_cast<std::int64_t>(kFaultWords * 16));
 }
 BENCHMARK(BM_FaultMask16PerBit)->Arg(1000)->Arg(10000)->Arg(200000);
+
+/// Scene synthesis at 1 and 4 lanes: the serial skip pass plus the
+/// row-parallel regeneration (bit-identical to one lane).  Real time, since
+/// the rows run on pool lanes the main thread's CPU clock does not see.
+/// Items = voxels.
+void BM_NgstStack(benchmark::State& state) {
+  spacefts::datagen::SceneParams scene;
+  scene.width = 256;
+  scene.height = 256;
+  const auto threads = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    spacefts::datagen::NgstSimulator sim(0x5CE7E);
+    benchmark::DoNotOptimize(
+        sim.stack(8, scene, spacefts::datagen::kDefaultSigma, threads));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 256 *
+                          256 * 8);
+}
+BENCHMARK(BM_NgstStack)->Arg(1)->Arg(4)->UseRealTime();
+
+/// Whole downlink flights at 1 and 4 lanes, in the benchmark's flight
+/// configuration (Γ₀ = 1e-3, link loss 0.05).  Items = flights.
+void BM_DownlinkChain(benchmark::State& state,
+                      spacefts::downlink::ChainWorkload workload) {
+  spacefts::downlink::ChainConfig config;
+  config.workload = workload;
+  const bool telemetry =
+      workload == spacefts::downlink::ChainWorkload::kTelemetry;
+  config.side = telemetry ? 64 : 256;
+  config.frames = telemetry ? 2048 : 8;
+  config.gamma0 = 1e-3;
+  config.link.drop_prob = 0.05;
+  config.link.corrupt_prob = 0.05;
+  config.link.duplicate_prob = 0.025;
+  config.threads = static_cast<std::size_t>(state.range(0));
+  config.seed = 0xF117;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(spacefts::downlink::run_chain(config));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK_CAPTURE(BM_DownlinkChain, ngst_256,
+                  spacefts::downlink::ChainWorkload::kNgstImage)
+    ->Arg(1)
+    ->Arg(4)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_DownlinkChain, telemetry_64x2048,
+                  spacefts::downlink::ChainWorkload::kTelemetry)
+    ->Arg(1)
+    ->Arg(4)
+    ->UseRealTime();
 
 /// Cost of an instrumentation point when telemetry is compiled in but
 /// runtime-disabled — the flight configuration.  This is the overhead every

@@ -10,6 +10,7 @@
 /// whose output is implementation-defined.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 
@@ -108,6 +109,8 @@ class Rng {
   [[nodiscard]] constexpr Rng split() noexcept { return Rng{(*this)()}; }
 
  private:
+  friend class RngSkipper;
+
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));
   }
@@ -115,6 +118,43 @@ class Rng {
   std::uint64_t state_[4]{};
   double cached_gaussian_ = 0.0;
   bool has_cached_gaussian_ = false;
+};
+
+/// Advances an Rng exactly as a sequence of its draws would, without the
+/// Box–Muller log/sqrt/sin/cos work, so one serial pass can snapshot a
+/// stream at the boundaries of independent work items (image rows,
+/// telemetry channels) and the items can then regenerate in parallel from
+/// their snapshots.
+///
+/// A skipped gaussian() pair whose second value would stay cached is only
+/// evaluated when a snapshot (or the end of the skip) needs that value, and
+/// then through gaussian() itself, so the cached value is bit-identical.
+class RngSkipper {
+ public:
+  explicit RngSkipper(Rng& rng) noexcept : rng_(rng) {}
+  /// Leaves the referenced generator exactly as the skipped calls would.
+  ~RngSkipper() { settle(); }
+  RngSkipper(const RngSkipper&) = delete;
+  RngSkipper& operator=(const RngSkipper&) = delete;
+
+  /// Skips \p n single-draw calls (operator(), uniform, below, bernoulli).
+  void uniforms(std::size_t n) noexcept;
+
+  /// Skips \p n gaussian() calls.
+  void gaussians(std::size_t n) noexcept;
+
+  /// The generator as the skipped calls would have left it.
+  [[nodiscard]] Rng snapshot() noexcept {
+    settle();
+    return rng_;
+  }
+
+ private:
+  void settle() noexcept;
+
+  Rng& rng_;
+  Rng pair_start_;       ///< the stream before the pending pair's draws
+  bool pending_ = false;  ///< rng_'s cached value is not evaluated yet
 };
 
 }  // namespace spacefts::common

@@ -65,17 +65,22 @@ class NgstSimulator {
       const SceneParams& params = {});
 
   /// Full temporal stack: every coordinate starts at the base scene's value
-  /// and performs an independent Eq.-(1) walk.
+  /// and performs an independent Eq.-(1) walk.  \p threads lanes (0 = one
+  /// per hardware thread) fill the background and the walks row by row; the
+  /// stack and the stream's later draws are identical for every lane count.
   /// \throws std::invalid_argument if frames == 0.
   [[nodiscard]] common::TemporalStack<std::uint16_t> stack(
       std::size_t frames = kDefaultFrames, const SceneParams& params = {},
-      double sigma = kDefaultSigma);
+      double sigma = kDefaultSigma, std::size_t threads = 1);
 
   /// Access to the underlying stream, e.g. to split off fault-injection
   /// streams that stay decoupled from data generation.
   [[nodiscard]] common::Rng& rng() noexcept { return rng_; }
 
  private:
+  common::Image<std::uint16_t> scene(const SceneParams& params,
+                                     std::size_t threads);
+
   common::Rng rng_;
 };
 

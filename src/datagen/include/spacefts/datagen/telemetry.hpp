@@ -51,11 +51,13 @@ class TelemetrySimulator {
       const TelemetryParams& params = {});
 
   /// A full bank as a 1-row temporal stack (width = channels, height = 1,
-  /// frames = samples) ready for the temporal voter.
+  /// frames = samples) ready for the temporal voter.  \p threads lanes
+  /// (0 = one per hardware thread) fill the channels; the bank and the
+  /// stream's later draws are identical for every lane count.
   /// \throws std::invalid_argument for zero channels/samples or invalid
   /// params.
   [[nodiscard]] common::TemporalStack<std::uint16_t> stack(
-      const TelemetryParams& params = {});
+      const TelemetryParams& params = {}, std::size_t threads = 1);
 
   /// Access to the underlying stream (mirrors NgstSimulator::rng()).
   [[nodiscard]] common::Rng& rng() noexcept { return rng_; }

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "stream_items.hpp"
+
 namespace spacefts::datagen {
 
 std::uint16_t clamp_pixel(double value) noexcept {
@@ -26,14 +28,23 @@ std::vector<std::uint16_t> NgstSimulator::sequence(std::size_t frames,
 
 common::Image<std::uint16_t> NgstSimulator::base_scene(
     const SceneParams& params) {
+  return scene(params, 1);
+}
+
+common::Image<std::uint16_t> NgstSimulator::scene(const SceneParams& params,
+                                                  std::size_t threads) {
   common::Image<std::uint16_t> img(params.width, params.height);
   // Background with spatial noise.
-  for (std::size_t y = 0; y < params.height; ++y) {
-    for (std::size_t x = 0; x < params.width; ++x) {
-      img(x, y) = clamp_pixel(
-          rng_.gaussian(params.background, params.background_noise));
-    }
-  }
+  detail::for_each_item(
+      rng_, params.height, threads,
+      [&](common::RngSkipper& skip) { skip.gaussians(params.width); },
+      [&](std::size_t y, common::Rng& rng) {
+        const double mean = params.background;
+        const double noise = params.background_noise;
+        for (auto& pixel : img.row(y)) {
+          pixel = clamp_pixel(rng.gaussian(mean, noise));
+        }
+      });
   // Point sources with Gaussian PSFs, truncated at 4σ.
   for (std::size_t s = 0; s < params.stars; ++s) {
     const double cx = rng_.uniform(0.0, static_cast<double>(params.width));
@@ -60,20 +71,33 @@ common::Image<std::uint16_t> NgstSimulator::base_scene(
 }
 
 common::TemporalStack<std::uint16_t> NgstSimulator::stack(
-    std::size_t frames, const SceneParams& params, double sigma) {
+    std::size_t frames, const SceneParams& params, double sigma,
+    std::size_t threads) {
   if (frames == 0) throw std::invalid_argument("stack: frames == 0");
-  const auto base = base_scene(params);
+  const auto base = scene(params, threads);
   common::TemporalStack<std::uint16_t> out(params.width, params.height, frames);
-  for (std::size_t y = 0; y < params.height; ++y) {
-    for (std::size_t x = 0; x < params.width; ++x) {
-      double level = static_cast<double>(base(x, y));
-      out(x, y, 0) = clamp_pixel(level);
-      for (std::size_t t = 1; t < frames; ++t) {
-        level += rng_.gaussian(0.0, sigma);
-        out(x, y, t) = clamp_pixel(level);
-      }
-    }
-  }
+  detail::for_each_item(
+      rng_, params.height, threads,
+      [&](common::RngSkipper& skip) {
+        skip.gaussians(params.width * (frames - 1));
+      },
+      [&](std::size_t y, common::Rng& rng) {
+        // Locals, not captures: the captures escape into the pool call, so
+        // the compiler would reload them after every gaussian() call.
+        const std::size_t width = params.width;
+        const std::size_t plane = width * params.height;
+        const std::size_t depth = frames;
+        const double step = sigma;
+        std::uint16_t* const row = out.cube().voxels().data() + y * width;
+        for (std::size_t x = 0; x < width; ++x) {
+          double level = static_cast<double>(base(x, y));
+          row[x] = clamp_pixel(level);
+          for (std::size_t t = 1; t < depth; ++t) {
+            level += rng.gaussian(0.0, step);
+            row[t * plane + x] = clamp_pixel(level);
+          }
+        }
+      });
   return out;
 }
 

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "spacefts/common/parallel.hpp"
 #include "spacefts/common/random.hpp"
 #include "spacefts/core/algo_ngst.hpp"
 #include "spacefts/datagen/ngst.hpp"
@@ -51,21 +52,23 @@ common::TemporalStack<std::uint16_t> make_stack(const ChainConfig& config) {
     datagen::TelemetryParams params;
     params.channels = config.side;
     params.samples = config.frames;
-    return sim.stack(params);
+    return sim.stack(params, config.threads);
   }
   datagen::NgstSimulator sim(seed);
   datagen::SceneParams scene;
   scene.width = config.side;
   scene.height = config.side;
-  return sim.stack(config.frames, scene);
+  return sim.stack(config.frames, scene, datagen::kDefaultSigma,
+                   config.threads);
 }
 
 /// The science product of a (possibly repaired) stack.  NGST: the
-/// integrated baseline image (§2's per-pixel temporal mean).  Telemetry:
-/// the full channel×sample matrix — every sample is science.
+/// integrated baseline image (§2's per-pixel temporal mean), rows split
+/// over \p lanes.  Telemetry: the full channel×sample matrix — every
+/// sample is science.
 common::Image<std::uint16_t> product_image(
-    const common::TemporalStack<std::uint16_t>& stack,
-    ChainWorkload workload) {
+    const common::TemporalStack<std::uint16_t>& stack, ChainWorkload workload,
+    std::size_t lanes) {
   if (workload == ChainWorkload::kTelemetry) {
     common::Image<std::uint16_t> image(stack.width(), stack.frames());
     for (std::size_t t = 0; t < stack.frames(); ++t) {
@@ -76,16 +79,20 @@ common::Image<std::uint16_t> product_image(
     return image;
   }
   common::Image<std::uint16_t> image(stack.width(), stack.height());
-  for (std::size_t y = 0; y < stack.height(); ++y) {
-    for (std::size_t x = 0; x < stack.width(); ++x) {
-      double sum = 0.0;
-      for (std::size_t t = 0; t < stack.frames(); ++t) {
-        sum += static_cast<double>(stack(x, y, t));
-      }
-      image(x, y) = datagen::clamp_pixel(
-          sum / static_cast<double>(stack.frames()));
-    }
-  }
+  common::parallel::parallel_for(
+      stack.height(), 8, lanes,
+      [&](std::size_t begin, std::size_t end, std::size_t) {
+        for (std::size_t y = begin; y < end; ++y) {
+          for (std::size_t x = 0; x < stack.width(); ++x) {
+            double sum = 0.0;
+            for (std::size_t t = 0; t < stack.frames(); ++t) {
+              sum += static_cast<double>(stack(x, y, t));
+            }
+            image(x, y) = datagen::clamp_pixel(
+                sum / static_cast<double>(stack.frames()));
+          }
+        }
+      });
   return image;
 }
 
@@ -102,6 +109,79 @@ std::uint64_t load_word(const std::uint8_t* bytes) noexcept {
   std::uint64_t word = 0;
   std::memcpy(&word, bytes, sizeof word);
   return word;
+}
+
+/// What one tile's flight contributes to the ChainReport.
+struct TileTally {
+  std::size_t compressed_bytes = 0;
+  std::size_t frames_sent = 0;
+  std::size_t wire_bytes = 0;
+  std::size_t words_corrected = 0;
+  bool dropped = false;
+  bool corrupted = false;
+  bool recovered = false;
+  bool degraded = false;
+};
+
+/// Flies rows [y0, y0 + rows) of \p sent as one frame over \p link on the
+/// tile's own stream and pastes what arrives into the same rows of
+/// \p received.  Touches no state shared with other tiles.
+TileTally fly_tile(const common::Image<std::uint16_t>& sent, std::size_t y0,
+                   std::size_t rows, const fault::MessageFaultModel& link,
+                   std::uint64_t tile_seed,
+                   common::Image<std::uint16_t>& received) {
+  TileTally tally;
+  common::Image<std::uint16_t> band(sent.width(), rows);
+  for (std::size_t y = 0; y < rows; ++y) {
+    for (std::size_t x = 0; x < sent.width(); ++x) {
+      band(x, y) = sent(x, y0 + y);
+    }
+  }
+  fits::FitsFile file;
+  file.hdus().push_back(make_compressed_hdu(band));
+  tally.compressed_bytes = file.hdus().front().data.size();
+  auto frame = protect_frame(file.serialize());
+
+  // The fate draws come first and are fixed-count, so equal-budget arms see
+  // identical drop/corrupt fates tile for tile even though their payload
+  // sizes differ.
+  common::Rng tile_rng(tile_seed);
+  const auto fate = link.sample(tile_rng);
+  tally.frames_sent = 1 + fate.duplicates;
+  tally.wire_bytes = frame.size() * (1 + fate.duplicates);
+  if (fate.dropped) {
+    tally.dropped = true;
+    tally.degraded = true;
+    return tally;
+  }
+  if (fate.corrupted) {
+    tally.corrupted = true;
+    (void)link.corrupt(frame, tile_rng);
+  }
+
+  const auto payload = recover_frame(frame, &tally.words_corrected);
+  bool pasted = false;
+  if (payload) {
+    tally.recovered = fate.corrupted;
+    try {
+      const auto parsed = fits::FitsFile::parse(*payload);
+      if (!parsed.hdus().empty()) {
+        const auto image = read_compressed_hdu(parsed.hdus().front());
+        if (image.width() == sent.width() && image.height() == rows) {
+          for (std::size_t y = 0; y < rows; ++y) {
+            for (std::size_t x = 0; x < sent.width(); ++x) {
+              received(x, y0 + y) = image(x, y);
+            }
+          }
+          pasted = true;
+        }
+      }
+    } catch (const fits::FitsError&) {
+      // Damage that slipped the frame check surfaces as a degraded tile.
+    }
+  }
+  tally.degraded = !pasted;
+  return tally;
 }
 
 }  // namespace
@@ -182,6 +262,7 @@ ChainReport run_chain(const ChainConfig& config) {
   validate(config);
   const fault::MessageFaultModel link(config.link);  // validates the budget
   const core::AlgoNgstConfig algo = algo_config(config);
+  const std::size_t lanes = common::parallel::resolve_threads(config.threads);
 
   ChainReport report;
   auto pristine = make_stack(config);
@@ -192,7 +273,7 @@ ChainReport run_chain(const ChainConfig& config) {
   {
     auto clean = pristine;
     (void)core::AlgoNgst(algo).preprocess(clean);
-    report.golden = product_image(clean, config.workload);
+    report.golden = product_image(clean, config.workload, lanes);
   }
 
   // On-board leg: Γ₀ memory flips, then the (optional) voter.
@@ -216,68 +297,35 @@ ChainReport run_chain(const ChainConfig& config) {
     report.bits_corrected = voter.bits_corrected;
     report.pixels_vetoed = voter.pixels_vetoed;
   }
-  const auto sent = product_image(stack, config.workload);
+  const auto sent = product_image(stack, config.workload, lanes);
 
-  // Downlink leg: row-band tiles, one self-recovering frame each.
+  // Downlink leg: row-band tiles, one self-recovering frame each.  Tiles
+  // fly in parallel, each on its own derived link stream and into its own
+  // rows of the product; their tallies fold in tile order.
   common::Image<std::uint16_t> received(sent.width(), sent.height());
   const std::uint64_t link_seed =
       common::derive_stream_seed(config.seed, kStreamLink, 0);
   report.tiles = (sent.height() + config.tile_rows - 1) / config.tile_rows;
-  for (std::size_t tile = 0; tile < report.tiles; ++tile) {
-    const std::size_t y0 = tile * config.tile_rows;
-    const std::size_t rows = std::min(config.tile_rows, sent.height() - y0);
-    common::Image<std::uint16_t> band(sent.width(), rows);
-    for (std::size_t y = 0; y < rows; ++y) {
-      for (std::size_t x = 0; x < sent.width(); ++x) {
-        band(x, y) = sent(x, y0 + y);
-      }
-    }
-    fits::FitsFile file;
-    file.hdus().push_back(make_compressed_hdu(band));
-    report.compressed_bytes += file.hdus().front().data.size();
-    auto frame = protect_frame(file.serialize());
-
-    // One derived stream per tile: the fate draws come first and are
-    // fixed-count, so equal-budget arms see identical drop/corrupt fates
-    // tile for tile even though their payload sizes differ.
-    common::Rng tile_rng(common::derive_stream_seed(link_seed, tile, 0));
-    const auto fate = link.sample(tile_rng);
-    report.frames_sent += 1 + fate.duplicates;
-    report.wire_bytes += frame.size() * (1 + fate.duplicates);
-    if (fate.dropped) {
-      ++report.frames_dropped;
-      ++report.tiles_degraded;
-      continue;
-    }
-    if (fate.corrupted) {
-      ++report.frames_corrupted;
-      (void)link.corrupt(frame, tile_rng);
-    }
-
-    std::size_t repairs = 0;
-    const auto payload = recover_frame(frame, &repairs);
-    report.words_corrected += repairs;
-    bool pasted = false;
-    if (payload) {
-      if (fate.corrupted) ++report.frames_recovered;
-      try {
-        const auto parsed = fits::FitsFile::parse(*payload);
-        if (!parsed.hdus().empty()) {
-          const auto image = read_compressed_hdu(parsed.hdus().front());
-          if (image.width() == sent.width() && image.height() == rows) {
-            for (std::size_t y = 0; y < rows; ++y) {
-              for (std::size_t x = 0; x < sent.width(); ++x) {
-                received(x, y0 + y) = image(x, y);
-              }
-            }
-            pasted = true;
-          }
+  std::vector<TileTally> tallies(report.tiles);
+  common::parallel::parallel_for(
+      report.tiles, 1, lanes,
+      [&](std::size_t begin, std::size_t end, std::size_t) {
+        for (std::size_t tile = begin; tile < end; ++tile) {
+          const std::size_t y0 = tile * config.tile_rows;
+          tallies[tile] = fly_tile(
+              sent, y0, std::min(config.tile_rows, sent.height() - y0), link,
+              common::derive_stream_seed(link_seed, tile, 0), received);
         }
-      } catch (const fits::FitsError&) {
-        // Damage that slipped the frame check surfaces as a degraded tile.
-      }
-    }
-    if (!pasted) ++report.tiles_degraded;
+      });
+  for (const TileTally& tally : tallies) {
+    report.compressed_bytes += tally.compressed_bytes;
+    report.frames_sent += tally.frames_sent;
+    report.wire_bytes += tally.wire_bytes;
+    report.words_corrected += tally.words_corrected;
+    report.frames_dropped += tally.dropped ? 1 : 0;
+    report.frames_corrupted += tally.corrupted ? 1 : 0;
+    report.frames_recovered += tally.recovered ? 1 : 0;
+    report.tiles_degraded += tally.degraded ? 1 : 0;
   }
 
   report.product = std::move(received);

@@ -17,9 +17,11 @@
 ///
 /// Determinism: every stochastic stage (scene synthesis, on-board memory
 /// flips, per-tile link fates) draws from streams derived off the config
-/// seed with common::derive_stream_seed, and the preprocessing voter is
-/// bit-identical across thread counts, so the received product is
-/// byte-identical for any --threads value — CI `cmp`s the FITS outputs.
+/// seed with common::derive_stream_seed.  ChainConfig::threads lanes run
+/// scene synthesis, the voter, product integration and the tile loop; each
+/// is bit-identical across lane counts and tile tallies fold in tile order,
+/// so the report is identical for any --threads value — CI `cmp`s the FITS
+/// outputs.
 #pragma once
 
 #include <cstdint>

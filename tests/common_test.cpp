@@ -120,6 +120,53 @@ TEST(Rng, DeriveStreamSeedSeparatesStreams) {
   EXPECT_NE(sc::derive_stream_seed(1, 2, 3), sc::derive_stream_seed(1, 3, 2));
 }
 
+namespace {
+
+/// Same upcoming draws, including a pending cached gaussian: the next
+/// gaussians (which consume the cache first) and raw words all agree.
+void expect_same_stream(sc::Rng a, sc::Rng b) {
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(a.gaussian(), b.gaussian()) << i;
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(a(), b()) << i;
+}
+
+}  // namespace
+
+TEST(Rng, SkipperMatchesGaussianCalls) {
+  for (const bool cached : {false, true}) {
+    for (const std::size_t n : {0u, 1u, 2u, 3u, 7u, 8u}) {
+      SCOPED_TRACE(::testing::Message() << "cached=" << cached << " n=" << n);
+      sc::Rng real(77), skipped(77);
+      if (cached) {
+        (void)real.gaussian();
+        (void)skipped.gaussian();
+      }
+      for (std::size_t i = 0; i < n; ++i) (void)real.gaussian();
+      sc::Rng snapshot;
+      {
+        sc::RngSkipper skip(skipped);
+        skip.gaussians(n);
+        snapshot = skip.snapshot();
+      }
+      expect_same_stream(real, snapshot);
+      expect_same_stream(real, skipped);
+    }
+  }
+}
+
+TEST(Rng, SkipperMatchesInterleavedUniformAndGaussianCalls) {
+  // The telemetry draw pattern: a pair's cached half outlives the uniform
+  // draws between two gaussians, and snapshots land mid-pair.
+  sc::Rng real(5), skipped(5);
+  sc::RngSkipper skip(skipped);
+  for (int step = 0; step < 9; ++step) {
+    (void)real.uniform();
+    (void)real.gaussian();
+    skip.uniforms(1);
+    skip.gaussians(1);
+    expect_same_stream(real, skip.snapshot());
+  }
+}
+
 // ---------------------------------------------------------------------- Image
 
 TEST(Image, ConstructAndIndex) {

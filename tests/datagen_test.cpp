@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 
+#include "spacefts/check/datagen_oracle.hpp"
 #include "spacefts/common/stats.hpp"
 #include "spacefts/datagen/ngst.hpp"
 #include "spacefts/datagen/otis_scenes.hpp"
@@ -102,6 +104,41 @@ TEST(NgstStack, EveryCoordinateWalksFromBase) {
     EXPECT_LT(std::abs(static_cast<double>(series[t]) -
                        static_cast<double>(series[t - 1])),
               250.0 * 6);
+  }
+}
+
+namespace {
+
+constexpr std::size_t kLaneCounts[] = {1, 2, 3, 8};
+
+}  // namespace
+
+TEST(NgstStack, MatchesSerialOracleAtEveryLaneCount) {
+  // Odd row lengths put row boundaries mid Box–Muller pair, in both the
+  // background pass and the walk; one row and a star-free scene are the
+  // degenerate cases.
+  struct Geometry {
+    std::size_t width, height, frames, stars;
+  };
+  for (const Geometry g : {Geometry{5, 3, 4, 2}, Geometry{5, 6, 4, 0},
+                           Geometry{7, 9, 3, 3}, Geometry{16, 16, 8, 24},
+                           Geometry{9, 1, 5, 1}}) {
+    sd::SceneParams params;
+    params.width = g.width;
+    params.height = g.height;
+    params.stars = g.stars;
+    spacefts::common::Rng oracle_rng(0x5EED);
+    const auto want =
+        spacefts::check::oracle_ngst_stack(oracle_rng, g.frames, params, 30.0);
+    for (const std::size_t lanes : kLaneCounts) {
+      SCOPED_TRACE(::testing::Message() << g.width << "x" << g.height << "x"
+                                        << g.frames << " lanes=" << lanes);
+      sd::NgstSimulator sim(0x5EED);
+      EXPECT_EQ(sim.stack(g.frames, params, 30.0, lanes).cube(), want.cube());
+      auto next = oracle_rng;
+      EXPECT_EQ(sim.rng().gaussian(), next.gaussian());
+      EXPECT_EQ(sim.rng()(), next());
+    }
   }
 }
 
@@ -236,6 +273,27 @@ TEST(Telemetry, DeterministicPerSeed) {
   sd::TelemetrySimulator a(7), b(7);
   const sd::TelemetryParams params;
   EXPECT_EQ(a.stack(params).cube(), b.stack(params).cube());
+}
+
+TEST(Telemetry, StackMatchesSerialOracleAtEveryLaneCount) {
+  // 7 samples per channel leave each channel boundary mid Box–Muller pair.
+  for (const auto& [channels, samples] :
+       {std::pair<std::size_t, std::size_t>{3, 7}, {1, 9}, {32, 64}}) {
+    sd::TelemetryParams params;
+    params.channels = channels;
+    params.samples = samples;
+    spacefts::common::Rng oracle_rng(0x7E1E);
+    const auto want = spacefts::check::oracle_telemetry_stack(oracle_rng, params);
+    for (const std::size_t lanes : kLaneCounts) {
+      SCOPED_TRACE(::testing::Message() << channels << "x" << samples
+                                        << " lanes=" << lanes);
+      sd::TelemetrySimulator sim(0x7E1E);
+      EXPECT_EQ(sim.stack(params, lanes).cube(), want.cube());
+      auto next = oracle_rng;
+      EXPECT_EQ(sim.rng().gaussian(), next.gaussian());
+      EXPECT_EQ(sim.rng()(), next());
+    }
+  }
 }
 
 TEST(Telemetry, SignalActuallyVaries) {

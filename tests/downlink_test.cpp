@@ -175,18 +175,63 @@ TEST(DownlinkChain, CleanChainReproducesGoldenBitExact) {
   }
 }
 
+namespace {
+
+void expect_same_report(const dl::ChainReport& a, const dl::ChainReport& b) {
+  EXPECT_EQ(a.product, b.product);
+  EXPECT_EQ(a.golden, b.golden);
+  EXPECT_EQ(a.tiles, b.tiles);
+  EXPECT_EQ(a.tiles_degraded, b.tiles_degraded);
+  EXPECT_EQ(a.frames_sent, b.frames_sent);
+  EXPECT_EQ(a.frames_dropped, b.frames_dropped);
+  EXPECT_EQ(a.frames_corrupted, b.frames_corrupted);
+  EXPECT_EQ(a.frames_recovered, b.frames_recovered);
+  EXPECT_EQ(a.words_corrected, b.words_corrected);
+  EXPECT_EQ(a.raw_bytes, b.raw_bytes);
+  EXPECT_EQ(a.wire_bytes, b.wire_bytes);
+  EXPECT_EQ(a.compressed_bytes, b.compressed_bytes);
+  EXPECT_EQ(a.compression_ratio, b.compression_ratio);
+  EXPECT_EQ(a.memory_bits_flipped, b.memory_bits_flipped);
+  EXPECT_EQ(a.pixels_corrected, b.pixels_corrected);
+  EXPECT_EQ(a.bits_corrected, b.bits_corrected);
+  EXPECT_EQ(a.pixels_vetoed, b.pixels_vetoed);
+  EXPECT_EQ(a.psnr_db, b.psnr_db);
+  EXPECT_EQ(a.pixel_match, b.pixel_match);
+}
+
+}  // namespace
+
 TEST(DownlinkChain, DeterministicAcrossThreadCounts) {
-  auto config = small_chain(dl::ChainWorkload::kNgstImage);
-  config.gamma0 = 0.002;
-  config.link.drop_prob = 0.2;
-  config.link.corrupt_prob = 0.2;
-  config.threads = 1;
-  const auto serial = dl::run_chain(config);
-  config.threads = 4;
-  const auto parallel = dl::run_chain(config);
-  EXPECT_EQ(serial.product, parallel.product);
-  EXPECT_EQ(serial.psnr_db, parallel.psnr_db);
-  EXPECT_EQ(serial.frames_dropped, parallel.frames_dropped);
+  // Both workloads; tile_rows never divides the product height, so the
+  // last tile is partial; the link drops, corrupts and duplicates frames.
+  struct Flight {
+    dl::ChainWorkload workload;
+    std::size_t side, frames, tile_rows;
+  };
+  for (const Flight f : {Flight{dl::ChainWorkload::kNgstImage, 30, 8, 4},
+                         Flight{dl::ChainWorkload::kTelemetry, 8, 67, 3}}) {
+    auto config = small_chain(f.workload);
+    config.side = f.side;
+    config.frames = f.frames;
+    config.tile_rows = f.tile_rows;
+    config.gamma0 = 0.002;
+    config.link.drop_prob = 0.2;
+    config.link.corrupt_prob = 0.3;
+    config.link.duplicate_prob = 0.2;
+    config.link.corrupt_gamma0 = 2e-4;
+    config.threads = 1;
+    const auto serial = dl::run_chain(config);
+    SCOPED_TRACE(dl::to_string(f.workload));
+    ASSERT_NE(serial.product.height() % f.tile_rows, 0u);
+    ASSERT_GT(serial.frames_dropped, 0u);
+    ASSERT_GT(serial.frames_corrupted, 0u);
+    ASSERT_GT(serial.frames_sent, serial.tiles);  // duplicates
+    for (const std::size_t threads : {2u, 3u, 8u, 0u}) {
+      SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+      config.threads = threads;
+      expect_same_report(serial, dl::run_chain(config));
+    }
+  }
 }
 
 TEST(DownlinkChain, DeadLinkDegradesEveryTileWithoutCrashing) {
