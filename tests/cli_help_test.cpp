@@ -60,7 +60,7 @@ TEST(CliHelp, PerVerbHelpIsConsistentForComputeFlags) {
   }
   // ...and the ones that can run on a pluggable substrate document the
   // backend family the same way.
-  for (const char* verb : {"pipeline", "serve"}) {
+  for (const char* verb : {"pipeline", "serve", "downlink"}) {
     const std::string help = cli_stdout(std::string("help ") + verb);
     EXPECT_NE(help.find("--backend cpu|unreliable|shadowed"),
               std::string::npos)
@@ -69,6 +69,8 @@ TEST(CliHelp, PerVerbHelpIsConsistentForComputeFlags) {
         << "'" << verb << "' help does not document --compute-fault-rate";
     EXPECT_NE(help.find("--shadow-rate"), std::string::npos)
         << "'" << verb << "' help does not document --shadow-rate";
+    EXPECT_NE(help.find("--backend-log"), std::string::npos)
+        << "'" << verb << "' help does not document --backend-log";
   }
   // The campaign's compute sweep rides the same subsystem.
   const std::string campaign = cli_stdout("help campaign");
@@ -105,6 +107,30 @@ TEST(CliFlags, NonFiniteDoubleValuesExitThree) {
     for (const char* value : {"inf", "-inf", "nan"}) {
       const std::string args =
           std::string(verb) + " " + flag + " " + value;
+      EXPECT_EQ(cli_exit_code(args), 3) << args;
+    }
+  }
+}
+
+TEST(CliHelp, EveryFlagInHelpIsRecognisedByItsVerb) {
+  // Help and parsing must not drift: every "[--flag ...]" that `help <verb>`
+  // shows is accepted by that verb.  A valued flag is given no value and a
+  // switch is followed by an unknown flag, so each command stops at a
+  // bad-flag error (exit 3) before running anything; that error must not be
+  // about the flag under test.
+  for (const char* verb : kVerbs) {
+    const std::string help = cli_stdout(std::string("help ") + verb);
+    for (std::size_t at = help.find("[--"); at != std::string::npos;
+         at = help.find("[--", at + 1)) {
+      const std::size_t end = help.find_first_of(" ]", at);
+      ASSERT_NE(end, std::string::npos) << help;
+      const std::string flag = help.substr(at + 1, end - at - 1);
+      const bool is_switch = help[end] == ']';
+      const std::string args = std::string(verb) + " " + flag +
+                               (is_switch ? " --no-such-flag" : "");
+      const std::string errors = cli_stdout(args + " 2>&1");
+      EXPECT_EQ(errors.find(flag + ": unknown flag"), std::string::npos)
+          << args << ": " << errors;
       EXPECT_EQ(cli_exit_code(args), 3) << args;
     }
   }

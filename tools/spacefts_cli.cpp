@@ -1,98 +1,35 @@
 /// \file spacefts_cli.cpp
-/// Command-line front end for the preprocessing layer.
-///
-///   spacefts_cli gen <out.fits> [frames] [side] [seed]
-///       synthesise a baseline (NGST Gaussian model) as a multi-HDU FITS
-///   spacefts_cli corrupt <in.fits> <out.fits> <gamma0> [seed] [--header]
-///       flip bits of the data units with probability gamma0 per bit;
-///       --header additionally damages one structural keyword
-///   spacefts_cli ingest <in.fits> <out.fits> [lambda] [upsilon] [--threads N]
-///                       [--kernel auto|scalar|swar|avx2]
-///       run the full ingest layer (sanity + Algo_NGST) and write the
-///       repaired baseline; --threads selects the preprocessing worker
-///       lanes (0 = all hardware threads) and --kernel the voter kernel
-///       (auto = widest the host supports; output is identical either way)
-///   spacefts_cli info <in.fits>
-///       print HDU headers and geometry
-///   spacefts_cli psi <a.fits> <b.fits>
-///       the paper's average relative error between two baselines
-///   spacefts_cli pipeline [--side N] [--frames N] [--workers N]
-///                         [--fragment-side N] [--gamma0 X] [--crash X]
-///                         [--link-loss X] [--lambda X] [--retries N]
-///                         [--seed S] [--threads N] [--kernel K]
-///       generate one baseline, ingest it, and run the distributed
-///       scatter/compute/gather pipeline once under the configured fault
-///       model — the single-run counterpart of `campaign`, and the
-///       simplest way to produce a full execution trace
-///   spacefts_cli campaign [--gamma0 a,b] [--crash a,b] [--link-loss a,b]
-///                         [--lambda a,b] [--trials N] [--seed S]
-///                         [--threads N] [--retries N] [--no-retries]
-///                         [--out path] [--enforce]
-///       sweep a seeded fault-injection grid over the distributed pipeline,
-///       append one JSON line per grid cell to --out (default
-///       BENCH_campaign.json), and with --enforce exit non-zero on any
-///       survival or clean-memory-coverage regression; --compute switches
-///       to the untrusted-compute sweep (--fault-rates x --shadow-rates,
-///       detected-vs-escaped accounting per cell); --downlink switches to
-///       the end-to-end downlink fidelity sweep (preprocessing on vs off
-///       over the gamma0 x link-loss x lambda grid, with the dominance
-///       gate under --enforce)
-///   spacefts_cli downlink [--workload ngst|telemetry] [chain flags]
-///       fly the full flight chain once — synthesise, optionally
-///       preprocess, rice-compress, CRC/Hamming-frame, cross a faulty
-///       link, deframe, decompress — and report end-to-end fidelity vs
-///       the clean-chain golden; --out/--golden-out write the received
-///       and reference science products as Rice-compressed FITS
-///   spacefts_cli serve [--replay <workload.jsonl> | synthetic-workload
-///                      flags] [server flags]
-///       run the preprocessing service over a workload: either replay a
-///       committed JSONL workload file or generate a seeded open-loop
-///       Poisson workload in-process; write the deterministic per-request
-///       results with --results-out, the workload with --workload-out
-///       (--gen-only stops after generating)
-///   spacefts_cli check [--seed S] [--cases N] [--threads a,b,c]
-///                      [--kernel K] [--corpus-out file] [--replay file]
-///       differential/metamorphic correctness harness: fuzz N seeded cases
-///       cross-checking the optimized preprocessing paths against the naive
-///       golden oracles at every requested (kernel, thread count) pair —
-///       all available kernels by default, one forced via --kernel — or
-///       --replay a committed failure corpus; failing cases are shrunk and
-///       written to --corpus-out; exits 1 on any divergence
-///   spacefts_cli version | --version
-///       print the tool version
-///   spacefts_cli help [verb]
-///       print the global usage, or one verb's usage
-///
-/// `ingest`, `pipeline`, `campaign`, and `serve` additionally accept
-///   --trace-out <file>    write a Chrome trace_event JSON of the run
-///                         (open in chrome://tracing or Perfetto)
-///   --metrics-out <file>  write the telemetry counters/histograms as JSONL
-///
-/// `pipeline` and `serve` additionally accept the compute-backend flags
-///   --backend cpu|unreliable|shadowed   which compute substrate runs the
-///                         preprocessing (default: the inline CPU path)
-///   --compute-fault-rate X / --compute-fault-seed S   the unreliable
-///                         substrate's silent-corruption model
-///   --shadow-rate X       fraction of requests the shadowed backend
-///                         re-executes on the trusted CPU and byte-compares
-///                         (default 1.0: every mismatch caught + repaired)
-///   --backend-log <file>  (serve/pipeline, shadowed only) write the
-///                         guard's per-request decision log as JSONL
+/// Command-line front end for the preprocessing layer.  Every verb, its
+/// positionals and its flags are declared once in the tables below; one
+/// parse loop checks a command line against them, and `spacefts_cli help
+/// [verb]` prints the usage text generated from them.
 ///
 /// Exit codes: 0 success, 1 operation failed, 2 usage error (unknown verb,
-/// missing positionals), 3 bad flag (unknown flag or malformed value).
+/// wrong number of positionals), 3 bad flag (unknown flag; missing,
+/// malformed or out-of-range value; a campaign flag outside its mode; an
+/// output path that cannot be opened; an inconsistent flag combination).
+#include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <exception>
+#include <filesystem>
 #include <fstream>
+#include <initializer_list>
+#include <limits>
+#include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
-#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -129,342 +66,467 @@
 namespace {
 
 constexpr int kExitFailure = 1;  ///< the operation itself failed
-constexpr int kExitUsage = 2;    ///< unknown verb / missing positionals
-constexpr int kExitBadFlag = 3;  ///< unknown flag or malformed flag value
+constexpr int kExitUsage = 2;    ///< unknown verb / wrong positional count
+constexpr int kExitBadFlag = 3;  ///< see the file comment
 
-/// One entry per verb: the usage synopsis doubles as `help <verb>` output.
-struct VerbHelp {
-  const char* verb;
-  const char* synopsis;
-};
-
-constexpr VerbHelp kVerbHelp[] = {
-    {"gen", "  spacefts_cli gen <out.fits> [frames=64] [side=32] [seed=1]\n"},
-    {"corrupt",
-     "  spacefts_cli corrupt <in> <out> <gamma0> [seed=2] [--header]\n"},
-    {"ingest",
-     "  spacefts_cli ingest <in> <out> [lambda=80] [upsilon=4]"
-     " [--threads N]\n"
-     "                [--kernel auto|scalar|swar|avx2]\n"},
-    {"info", "  spacefts_cli info <in>\n"},
-    {"psi", "  spacefts_cli psi <a> <b>\n"},
-    {"pipeline",
-     "  spacefts_cli pipeline [--side N] [--frames N] [--workers N]"
-     " [--fragment-side N]\n"
-     "                [--gamma0 X] [--crash X] [--link-loss X] [--lambda X]\n"
-     "                [--retries N] [--seed S] [--threads N]"
-     " [--kernel auto|scalar|swar|avx2]\n"
-     "                [--backend cpu|unreliable|shadowed]"
-     " [--compute-fault-rate X]\n"
-     "                [--compute-fault-seed S] [--shadow-rate X]\n"
-     "                [--control-budget-ms X]\n"},
-    {"campaign",
-     "  spacefts_cli campaign [--gamma0 a,b] [--crash a,b]"
-     " [--link-loss a,b] [--lambda a,b]\n"
-     "                [--trials N] [--seed S] [--threads N] [--retries N]"
-     " [--no-retries]\n"
-     "                [--out path] [--enforce]\n"
-     "                [--control [--phase-len N] [--shards N]"
-     " [--shard-kill I@C]\n"
-     "                [--control-budget-ms X]] (drifting-gamma0 controller"
-     " sweep)\n"
-     "                [--compute [--fault-rates a,b] [--shadow-rates a,b]\n"
-     "                [--requests N]] (compute-fault x shadow-rate"
-     " detected-vs-escaped sweep)\n"
-     "                [--downlink [--workloads ngst,telemetry] [--side N]"
-     " [--frames N]\n"
-     "                [--tile-rows N]] (end-to-end fidelity sweep,"
-     " preprocessing on vs off)\n"},
-    {"downlink",
-     "  spacefts_cli downlink [--workload ngst|telemetry] [--side N]"
-     " [--frames N]\n"
-     "                [--tile-rows N] [--lambda X] [--upsilon N]"
-     " [--gamma0 X]\n"
-     "                [--link-loss X] [--no-preprocess] [--seed S]"
-     " [--threads N]\n"
-     "                [--kernel auto|scalar|swar|avx2] [--out file]"
-     " [--golden-out file]\n"
-     "                [--backend cpu|unreliable|shadowed]"
-     " [--compute-fault-rate X]\n"
-     "                [--compute-fault-seed S] [--shadow-rate X]"
-     " [--backend-log file]\n"},
-    {"serve",
-     "  spacefts_cli serve [--replay file | --requests N --rate X"
-     " [--otis-frac X]\n"
-     "                [--pipeline-frac X] [--deadline-ms X] [--priorities N]"
-     " [--seed S]\n"
-     "                [--streams N]]\n"
-     "                [--capacity N] [--threads N] [--batch N]"
-     " [--linger-ms X]\n"
-     "                [--admit-wait-ms X] [--pace] [--ingress-drop X]"
-     " [--ingress-corrupt X]\n"
-     "                [--shards N] [--shard-kill I@C]"
-     " [--shard-crash X] [--shard-stall X]\n"
-     "                [--shard-slow X] [--results-out file]"
-     " [--workload-out file] [--gen-only]\n"
-     "                [--kernel auto|scalar|swar|avx2]\n"
-     "                [--backend cpu|unreliable|shadowed]"
-     " [--compute-fault-rate X]\n"
-     "                [--compute-fault-seed S] [--shadow-rate X]"
-     " [--backend-log file]\n"
-     "                [--control] [--control-out file]"
-     " [--control-budget-ms X]\n"
-     "                [--control-window N] [--control-lag N]\n"},
-    {"check",
-     "  spacefts_cli check [--seed S] [--cases N] [--threads a,b,c]\n"
-     "                [--kernel auto|scalar|swar|avx2]"
-     " [--corpus-out file] [--replay file]\n"},
-    {"version", "  spacefts_cli version | --version\n"},
-    {"help", "  spacefts_cli help [verb]\n"},
-};
-
-void print_usage(std::FILE* stream) {
-  std::fputs("usage:\n", stream);
-  for (const auto& entry : kVerbHelp) std::fputs(entry.synopsis, stream);
-  std::fputs(
-      "  ingest/pipeline/campaign/serve also accept --trace-out <file>"
-      " and --metrics-out <file>\n",
-      stream);
-}
-
-int usage() {
-  print_usage(stderr);
-  return kExitUsage;
-}
-
-int cmd_help(int argc, char** argv) {
-  if (argc < 3) {
-    print_usage(stdout);
-    return 0;
-  }
-  const std::string verb = argv[2];
-  for (const auto& entry : kVerbHelp) {
-    if (verb == entry.verb) {
-      std::fputs("usage:\n", stdout);
-      std::fputs(entry.synopsis, stdout);
-      return 0;
-    }
-  }
-  std::fprintf(stderr, "spacefts_cli: help: unknown verb '%s'\n", verb.c_str());
-  return usage();
-}
-
-int bad_flag(const std::string& flag, const char* detail) {
-  std::fprintf(stderr, "spacefts_cli: %s: %s\n", flag.c_str(), detail);
+int bad_flag(const std::string& flag, const std::string& detail) {
+  std::fprintf(stderr, "spacefts_cli: %s: %s\n", flag.c_str(), detail.c_str());
   return kExitBadFlag;
 }
 
-/// Strict numeric parsers: the whole token must be consumed, so "8x" or ""
-/// is a reportable mistake instead of a silent 8 (or 0).
+/// Strict parsers: the whole token must be consumed, so "8x" or "" is a
+/// reportable mistake instead of a silent 8 (or 0).
 
-[[nodiscard]] bool parse_double(const char* text, double& out) {
-  if (text == nullptr || *text == '\0') return false;
+[[nodiscard]] bool parse_double(const std::string& text, double& out) {
+  if (text.empty()) return false;
   char* end = nullptr;
   errno = 0;
-  out = std::strtod(text, &end);
-  // strtod happily parses "inf" and "nan" with errno == 0, but every
-  // double-valued flag is validated with open-ended comparisons downstream
-  // (budgets, rates, pacing) where an infinity silently passes.  No flag
-  // has a meaningful non-finite value, so reject them here.
+  out = std::strtod(text.c_str(), &end);
+  // strtod happily parses "inf" and "nan" with errno == 0, but no flag has a
+  // meaningful non-finite value, and an infinity would slip through every
+  // open-ended range check.
   return errno == 0 && *end == '\0' && std::isfinite(out);
 }
 
-[[nodiscard]] bool parse_size(const char* text, std::size_t& out) {
-  if (text == nullptr || *text == '\0' || *text == '-') return false;
+/// Base-10 unsigned integer that fits T; a sign is rejected, not wrapped.
+template <typename T>
+[[nodiscard]] bool parse_unsigned(const std::string& text, T& out) {
+  if (text.empty() || text[0] == '-') return false;
   char* end = nullptr;
   errno = 0;
-  out = static_cast<std::size_t>(std::strtoull(text, &end, 10));
-  return errno == 0 && *end == '\0';
+  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+  if (errno != 0 || *end != '\0' ||
+      value > static_cast<unsigned long long>(std::numeric_limits<T>::max())) {
+    return false;
+  }
+  out = static_cast<T>(value);
+  return true;
 }
 
-[[nodiscard]] bool parse_u64(const char* text, std::uint64_t& out) {
-  if (text == nullptr || *text == '\0' || *text == '-') return false;
-  char* end = nullptr;
-  errno = 0;
-  out = std::strtoull(text, &end, 10);
-  return errno == 0 && *end == '\0';
+/// A --shard-kill operand "I@C": kill shard I once the router has recorded
+/// C results.
+using ShardKill = std::pair<std::size_t, std::uint64_t>;
+
+[[nodiscard]] bool parse_shard_kill(const std::string& text, ShardKill& out) {
+  const auto at = text.find('@');
+  return at != std::string::npos &&
+         parse_unsigned(text.substr(0, at), out.first) &&
+         parse_unsigned(text.substr(at + 1), out.second);
 }
 
-/// Parses a --kernel value (auto|scalar|swar|avx2).  An explicit variant
-/// the host cannot run is honoured via resolve_kernel's documented
-/// fallback, so it is not a usage error here.
-[[nodiscard]] bool parse_kernel_flag(const char* text,
-                                     spacefts::core::Kernel& out) {
-  return text != nullptr && spacefts::core::parse_kernel(text, out);
+/// The one list splitter: comma-separated items, none of them empty.
+[[nodiscard]] bool split_list(const std::string& text,
+                              std::vector<std::string>& items) {
+  items.clear();
+  for (std::size_t start = 0;;) {
+    const std::size_t comma = text.find(',', start);
+    items.push_back(text.substr(start, comma - start));
+    if (items.back().empty()) return false;
+    if (comma == std::string::npos) return true;
+    start = comma + 1;
+  }
 }
 
-/// Shared --backend/--shadow-rate/--compute-fault-* handling across the
-/// verbs that execute preprocessing compute (serve, pipeline).
-struct BackendOptions {
-  std::string kind = "cpu";  ///< cpu | unreliable | shadowed
-  bool kind_set = false;     ///< --backend appeared explicitly
-  /// Guard sample fraction under --backend shadowed.  The CLI default is
-  /// 1.0 — check everything — so the shadowed path is payload-safe out of
-  /// the box; production-style sampling opts down via --shadow-rate.
-  double shadow_rate = 1.0;
-  bool shadow_rate_set = false;
-  double fault_rate = 0.0;  ///< --compute-fault-rate
-  bool fault_rate_set = false;
-  std::uint64_t fault_seed = spacefts::fault::ComputeFaultConfig{}.seed;
-  bool fault_seed_set = false;
-  std::string log_out;  ///< --backend-log (shadowed only)
+/// Converts one value into its target; false when it does not parse.
+template <typename T>
+bool convert(const std::string& text, T& out) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    out = text;
+  } else if constexpr (std::is_same_v<T, double>) {
+    return parse_double(text, out);
+  } else if constexpr (std::is_integral_v<T>) {
+    return parse_unsigned(text, out);
+  } else if constexpr (std::is_same_v<T, spacefts::core::Kernel>) {
+    // An explicit variant the host cannot run is honoured via
+    // resolve_kernel's documented fallback, so it is not a bad value.
+    return spacefts::core::parse_kernel(text, out);
+  } else if constexpr (std::is_same_v<T, spacefts::downlink::ChainWorkload>) {
+    out = text == "telemetry" ? spacefts::downlink::ChainWorkload::kTelemetry
+                              : spacefts::downlink::ChainWorkload::kNgstImage;
+  } else {  // a comma list
+    std::vector<std::string> items;
+    if (!split_list(text, items)) return false;
+    out.resize(items.size());
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      if (!convert(items[i], out[i])) return false;
+    }
+  }
+  return true;
+}
 
-  /// Post-parse consistency: flag combinations that cannot mean anything.
-  /// Returns nullptr when consistent, else the complaint for bad_flag().
-  [[nodiscard]] const char* validate() const {
-    if (kind != "cpu" && kind != "unreliable" && kind != "shadowed") {
-      return "--backend must be cpu, unreliable, or shadowed";
+/// How a flag's value (each item of a list value) is parsed and checked.
+enum class Kind {
+  kUnsigned,  ///< a std::size_t or std::uint64_t, range-checked
+  kDouble,    ///< a finite double, range-checked
+  kChoice,    ///< one of the '|'- or ','-separated words of the placeholder
+  kShardKill, ///< I@C, repeatable
+  kInPath,    ///< a file to read
+  kOutPath,   ///< a file to write, probed before the run
+  kSwitch,    ///< no value
+  kMode,      ///< a switch selecting the verb's mode (campaign)
+};
+static_assert(sizeof(std::size_t) == sizeof(std::uint64_t),
+              "kUnsigned values convert to either target");
+
+/// The campaign modes a flag applies to.  A verb without kMode rows always
+/// runs in kClassic, so its rows keep the kAnyMode default.
+enum Mode { kClassic = 1, kControl = 2, kCompute = 4, kDownlink = 8 };
+constexpr unsigned kAnyMode = kClassic | kControl | kCompute | kDownlink;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Lower bound for values the library requires to be strictly positive.
+constexpr double kPositive = std::numeric_limits<double>::denorm_min();
+
+struct Flag {
+  const char* name;
+  Kind kind;
+  /// Help placeholder.  A comma in it ("a,b") makes the value a comma list
+  /// of such items; for kChoice it is the set of accepted words.
+  const char* meta = "";
+  double lo = -kInf;  ///< inclusive range of every number the value carries
+  double hi = kInf;
+  unsigned modes = kAnyMode;
+};
+
+/// \p flag restricted to the campaign \p modes.
+Flag only(unsigned modes, Flag flag) {
+  flag.modes = modes;
+  return flag;
+}
+
+/// Checks one scalar value, or one list item, against its row.  Returns the
+/// complaint, empty when the item is acceptable.
+std::string check_item(const Flag& flag, const std::string& text) {
+  double number = 0.0;
+  switch (flag.kind) {
+    case Kind::kUnsigned: {
+      std::uint64_t value = 0;
+      if (!parse_unsigned(text, value)) return "bad value";
+      number = static_cast<double>(value);
+      break;
     }
-    if (shadow_rate_set && kind != "shadowed") {
-      return "--shadow-rate requires --backend shadowed";
+    case Kind::kDouble:
+      if (!parse_double(text, number)) return "bad value";
+      break;
+    case Kind::kChoice: {
+      std::string words = std::string("|") + flag.meta + "|";
+      std::replace(words.begin(), words.end(), ',', '|');
+      if (text.find_first_of("|,") == std::string::npos &&
+          words.find("|" + text + "|") != std::string::npos) {
+        return {};
+      }
+      return std::string("must be one of ") + flag.meta;
     }
-    if ((fault_rate_set || fault_seed_set) && kind == "cpu") {
-      return "--compute-fault-rate/--compute-fault-seed require --backend "
-             "unreliable or shadowed";
+    case Kind::kShardKill: {
+      ShardKill kill;
+      if (parse_shard_kill(text, kill)) return {};
+      return "expected SHARD@RESULT_COUNT (e.g. 1@50)";
     }
-    if (!log_out.empty() && kind != "shadowed") {
-      return "--backend-log requires --backend shadowed";
-    }
-    if (!(shadow_rate >= 0.0 && shadow_rate <= 1.0)) {
-      return "--shadow-rate outside [0, 1]";
-    }
-    if (!(fault_rate >= 0.0 && fault_rate <= 1.0)) {
-      return "--compute-fault-rate outside [0, 1]";
-    }
-    return nullptr;
+    default:  // paths
+      return text.empty() ? "missing file argument" : "";
+  }
+  if (number >= flag.lo && number <= flag.hi) return {};
+  char complaint[128];
+  std::snprintf(complaint, sizeof(complaint), "%s outside %s%.10g, %.10g]",
+                text.c_str(), flag.lo == kPositive ? "(" : "[",
+                flag.lo == kPositive ? 0.0 : flag.lo, flag.hi);
+  return complaint;
+}
+
+std::string check_value(const Flag& flag, const std::string& text) {
+  std::vector<std::string> items{text};
+  if (std::strchr(flag.meta, ',') != nullptr && !split_list(text, items)) {
+    return "empty list item";
+  }
+  for (const auto& item : items) {
+    std::string complaint = check_item(flag, item);
+    if (!complaint.empty()) return complaint;
+  }
+  return {};
+}
+
+/// Early writability probe for an output path: a typo'd directory should
+/// cost exit 3 before the run, not exit 1 after minutes of compute.  Append
+/// mode never truncates an existing file, and a file the probe itself
+/// created is removed again, so a run that writes nothing leaves nothing.
+[[nodiscard]] bool probe_writable(const std::string& path) {
+  std::error_code ec;
+  const bool existed = std::filesystem::exists(path, ec);
+  if (!std::ofstream(path, std::ios::app)) return false;
+  if (!existed) std::filesystem::remove(path, ec);
+  return true;
+}
+
+/// One command line after the parse loop: the positionals, plus every
+/// flag given with its values in order, each already checked against its
+/// row.
+struct Args {
+  std::vector<std::string> positional;
+  std::map<std::string, std::vector<std::string>> given;
+
+  [[nodiscard]] bool has(const std::string& flag) const {
+    return given.count(flag) > 0;
   }
 
-  /// Builds the configured backend stack; null when the flags ask for the
-  /// legacy inline-CPU path (no --backend at all).  When the stack includes
-  /// a shadow guard, \p shadow receives it so the caller can export the
-  /// decision log and health counters.
-  [[nodiscard]] std::shared_ptr<spacefts::backend::Backend> build(
-      std::shared_ptr<spacefts::backend::ShadowBackend>* shadow) const {
-    namespace be = spacefts::backend;
-    if (!kind_set) return nullptr;
-    auto cpu = std::make_shared<be::CpuBackend>();
-    if (kind == "cpu") return cpu;
-    spacefts::fault::ComputeFaultConfig faults;
-    faults.fault_rate = fault_rate;
-    faults.seed = fault_seed;
-    auto unreliable = std::make_shared<be::UnreliableBackend>(cpu, faults);
-    if (kind == "unreliable") return unreliable;
-    be::ShadowConfig sc;
-    sc.shadow_rate = shadow_rate;
-    auto shadowed = std::make_shared<be::ShadowBackend>(unreliable, cpu, sc);
-    if (shadow != nullptr) *shadow = shadowed;
-    return shadowed;
+  /// The flag's last value, or \p fallback when it was not given.
+  [[nodiscard]] std::string text(const std::string& flag,
+                                 const std::string& fallback = "") const {
+    const auto it = given.find(flag);
+    return it == given.end() ? fallback : it->second.back();
+  }
+
+  /// Overwrites \p target with the flag's last value when it was given;
+  /// a repeatable --shard-kill collects all of its values.
+  template <typename T>
+  void get(const std::string& flag, T& target) const {
+    if (!has(flag)) return;
+    if constexpr (std::is_same_v<T, std::vector<ShardKill>>) {
+      for (const auto& value : given.at(flag)) {
+        (void)parse_shard_kill(value, target.emplace_back());
+      }
+    } else {
+      (void)convert(text(flag), target);
+    }
   }
 };
 
-/// Folds one backend flag into \p opts.  Returns 1 when consumed, 0 when
-/// \p arg is not a backend flag, and a negative exit code (-kExitBadFlag)
-/// on a malformed value.
-template <typename ValueFn>
-int parse_backend_flag(const std::string& arg, ValueFn&& value,
-                       BackendOptions& opts) {
-  if (arg == "--backend") {
-    const char* v = value();
-    if (v == nullptr) return -bad_flag(arg, "missing backend name");
-    opts.kind = v;
-    opts.kind_set = true;
-    return 1;
-  }
-  if (arg == "--shadow-rate") {
-    if (!parse_double(value(), opts.shadow_rate)) {
-      return -bad_flag(arg, "bad value");
+struct Verb {
+  const char* name;
+  const char* positionals;  ///< help text: "<required> [optional=default]"
+  std::vector<Flag> flags;
+  int (*run)(const Args&);
+  const char* summary;  ///< indented description for `help <verb>`
+
+  /// Names of the kMode rows in \p modes, joined by \p separator.
+  [[nodiscard]] std::string mode_names(unsigned modes,
+                                       const char* separator) const {
+    std::string names;
+    for (const Flag& row : flags) {
+      if (row.kind != Kind::kMode || (row.modes & modes) == 0) continue;
+      names += (names.empty() ? "" : separator) + std::string(row.name);
     }
-    opts.shadow_rate_set = true;
-    return 1;
+    return names;
   }
-  if (arg == "--compute-fault-rate") {
-    if (!parse_double(value(), opts.fault_rate)) {
-      return -bad_flag(arg, "bad value");
+};
+
+int usage();
+
+/// Checks argv[2..] against \p verb's rows into \p args.  Returns 0, or the
+/// exit code of the first problem after reporting it.
+int parse_args(const Verb& verb, int argc, char** argv, Args& args) {
+  for (int i = 2; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0) {
+      args.positional.push_back(arg);
+      continue;
     }
-    opts.fault_rate_set = true;
-    return 1;
-  }
-  if (arg == "--compute-fault-seed") {
-    if (!parse_u64(value(), opts.fault_seed)) {
-      return -bad_flag(arg, "bad value");
+    const auto flag = std::ranges::find_if(
+        verb.flags, [&](const Flag& row) { return arg == row.name; });
+    if (flag == verb.flags.end()) return bad_flag(arg, "unknown flag");
+    std::string value;
+    if (flag->kind != Kind::kSwitch && flag->kind != Kind::kMode) {
+      if (i + 1 >= argc) return bad_flag(arg, "missing value");
+      value = argv[++i];
+      const std::string complaint = check_value(*flag, value);
+      if (!complaint.empty()) return bad_flag(arg, complaint);
     }
-    opts.fault_seed_set = true;
-    return 1;
+    args.given[arg].push_back(value);
   }
-  if (arg == "--backend-log") {
-    const char* v = value();
-    if (v == nullptr) return -bad_flag(arg, "missing file argument");
-    opts.log_out = v;
-    return 1;
+
+  const std::string_view shape = verb.positionals;  // "<required> [optional]"
+  const auto given = static_cast<std::ptrdiff_t>(args.positional.size());
+  const auto required = std::ranges::count(shape, '<');
+  if (given < required || given > required + std::ranges::count(shape, '[')) {
+    return usage();
+  }
+
+  unsigned mode = 0;
+  for (const Flag& row : verb.flags) {
+    if (row.kind == Kind::kMode && args.has(row.name)) mode |= row.modes;
+  }
+  if (std::popcount(mode) > 1) {
+    return bad_flag(verb.mode_names(kAnyMode, "/"),
+                    "modes are mutually exclusive");
+  }
+  if (mode == 0) mode = kClassic;
+  // Report the given flags outside the mode that share the first one's
+  // complaint: "--a/--b: require --control" or "--c: not valid with --x".
+  std::string outside, complaint;
+  for (const Flag& row : verb.flags) {
+    if ((row.modes & mode) != 0 || !args.has(row.name)) continue;
+    const std::string why =
+        mode == kClassic ? "require " + verb.mode_names(row.modes, " or ")
+                         : "not valid with " + verb.mode_names(mode, "");
+    if (complaint.empty()) complaint = why;
+    if (why != complaint) continue;
+    outside += (outside.empty() ? "" : "/") + std::string(row.name);
+  }
+  if (!outside.empty()) return bad_flag(outside, complaint);
+
+  for (const Flag& row : verb.flags) {
+    if (row.kind == Kind::kOutPath && args.has(row.name) &&
+        !probe_writable(args.text(row.name))) {
+      return bad_flag(row.name, "cannot open for writing");
+    }
   }
   return 0;
+}
+
+/// Rows shared verbatim by several verbs.
+const std::vector<Flag> kTelemetryFlags = {
+    {"--trace-out", Kind::kOutPath, "file"},
+    {"--metrics-out", Kind::kOutPath, "file"},
+};
+const std::vector<Flag> kBackendFlags = {
+    {"--backend", Kind::kChoice, "cpu|unreliable|shadowed"},
+    {"--compute-fault-rate", Kind::kDouble, "X", 0.0, 1.0},
+    {"--compute-fault-seed", Kind::kUnsigned, "S"},
+    {"--shadow-rate", Kind::kDouble, "X", 0.0, 1.0},
+    {"--backend-log", Kind::kOutPath, "file"},
+};
+const Flag kKernelFlag{"--kernel", Kind::kChoice, "auto|scalar|swar|avx2"};
+
+std::vector<Flag> rows(std::initializer_list<std::vector<Flag>> groups) {
+  std::vector<Flag> all;
+  for (const auto& group : groups) {
+    all.insert(all.end(), group.begin(), group.end());
+  }
+  return all;
+}
+
+/// One --link-loss knob (default \p loss) drives every link fault kind.
+void set_link_loss(const Args& args, double loss,
+                   spacefts::fault::MessageFaultConfig& link) {
+  args.get("--link-loss", loss);
+  link.drop_prob = loss;
+  link.corrupt_prob = loss;
+  link.duplicate_prob = loss / 2.0;
+  link.delay_prob = loss;
+}
+
+/// Post-parse: every --shard-kill index must name one of the --shards.
+int check_shard_kills(const std::vector<ShardKill>& kills, std::size_t shards) {
+  for (const auto& kill : kills) {
+    if (kill.first >= shards) {
+      return bad_flag("--shard-kill", shards == 0 ? "requires --shards"
+                                                  : "shard index out of range");
+    }
+  }
+  return 0;
+}
+
+/// Post-parse consistency of the backend rows: combinations that cannot
+/// mean anything.  Returns 0, or exit 3 after reporting the combination.
+int check_backend(const Args& args) {
+  const std::string kind = args.text("--backend", "cpu");
+  const char* complaint = nullptr;
+  if (args.has("--shadow-rate") && kind != "shadowed") {
+    complaint = "--shadow-rate requires --backend shadowed";
+  } else if ((args.has("--compute-fault-rate") ||
+              args.has("--compute-fault-seed")) &&
+             kind == "cpu") {
+    complaint = "--compute-fault-rate/--compute-fault-seed require --backend "
+                "unreliable or shadowed";
+  } else if (args.has("--backend-log") && kind != "shadowed") {
+    complaint = "--backend-log requires --backend shadowed";
+  }
+  return complaint == nullptr ? 0 : bad_flag("--backend", complaint);
+}
+
+/// Builds the backend stack the flags ask for; null without --backend (the
+/// legacy inline-CPU path).  When the stack includes a shadow guard,
+/// \p shadow receives it so the caller can export the decision log and
+/// health counters.
+[[nodiscard]] std::shared_ptr<spacefts::backend::Backend> build_backend(
+    const Args& args,
+    std::shared_ptr<spacefts::backend::ShadowBackend>* shadow) {
+  namespace be = spacefts::backend;
+  if (!args.has("--backend")) return nullptr;
+  const std::string kind = args.text("--backend");
+  auto cpu = std::make_shared<be::CpuBackend>();
+  if (kind == "cpu") return cpu;
+  spacefts::fault::ComputeFaultConfig faults;
+  args.get("--compute-fault-rate", faults.fault_rate);
+  args.get("--compute-fault-seed", faults.seed);
+  auto unreliable = std::make_shared<be::UnreliableBackend>(cpu, faults);
+  if (kind == "unreliable") return unreliable;
+  be::ShadowConfig sc;
+  // The CLI default is 1.0 — check everything — so the shadowed path is
+  // payload-safe out of the box; production-style sampling opts down.
+  sc.shadow_rate = 1.0;
+  args.get("--shadow-rate", sc.shadow_rate);
+  auto shadowed = std::make_shared<be::ShadowBackend>(unreliable, cpu, sc);
+  if (shadow != nullptr) *shadow = shadowed;
+  return shadowed;
+}
+
+/// Replaces \p path with \p text; on failure reports it as \p who.
+[[nodiscard]] bool write_text(const char* who, const std::string& path,
+                              const std::string& text) {
+  std::ofstream out(path, std::ios::trunc);
+  if (out << text) return true;
+  std::fprintf(stderr, "%s: cannot write %s\n", who, path.c_str());
+  return false;
+}
+
+/// Reads all of \p path into \p text; on failure reports it as \p who.
+[[nodiscard]] bool read_text(const char* who, const std::string& path,
+                             std::string& text) {
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr, "%s: cannot read %s\n", who, path.c_str());
+    return false;
+  }
+  std::ostringstream all;
+  all << in.rdbuf();
+  text = all.str();
+  return true;
 }
 
 /// Exports a shadow guard's canonical decision log (sorted, deduplicated)
 /// as JSON-lines, replacing any previous run's log.
 [[nodiscard]] bool write_backend_log(
-    const std::string& path,
+    const Args& args,
     const std::shared_ptr<spacefts::backend::ShadowBackend>& shadow) {
-  std::ofstream out(path, std::ios::trunc);
-  out << spacefts::backend::decisions_to_jsonl(shadow->decisions());
-  if (!out) {
-    std::fprintf(stderr, "spacefts_cli: cannot write %s\n", path.c_str());
-    return false;
-  }
-  return true;
+  return write_text("spacefts_cli", args.text("--backend-log"),
+                    spacefts::backend::decisions_to_jsonl(shadow->decisions()));
 }
 
-/// Early writability probe for output-path flags: a typo'd directory should
-/// cost exit 3 before the run, not exit 1 after minutes of compute.  Append
-/// mode creates a missing file but never truncates an existing one, so a
-/// later failure leaves any prior artifact intact.
-[[nodiscard]] bool probe_writable(const std::string& path) {
-  std::ofstream probe(path, std::ios::app);
-  return static_cast<bool>(probe);
+/// Turns telemetry recording on before the instrumented run starts when
+/// --trace-out or --metrics-out asks for it.
+void arm_telemetry(const Args& args) {
+  if (!args.has("--trace-out") && !args.has("--metrics-out")) return;
+  if (!spacefts::telemetry::kCompiledIn) {
+    std::fprintf(stderr,
+                 "spacefts_cli: built with SPACEFTS_TELEMETRY=OFF; "
+                 "--trace-out/--metrics-out produce no output\n");
+    return;
+  }
+  spacefts::telemetry::set_enabled(true);
 }
 
-/// Shared handling of --trace-out/--metrics-out across verbs.
-struct TelemetryOptions {
-  std::string trace_out;
-  std::string metrics_out;
-
-  [[nodiscard]] bool requested() const {
-    return !trace_out.empty() || !metrics_out.empty();
-  }
-
-  /// Turns recording on before the instrumented run starts.
-  void arm() const {
-    if (!requested()) return;
-    if (!spacefts::telemetry::kCompiledIn) {
-      std::fprintf(stderr,
-                   "spacefts_cli: built with SPACEFTS_TELEMETRY=OFF; "
-                   "--trace-out/--metrics-out produce no output\n");
-      return;
+/// Writes the requested telemetry artifacts after the run; 0 on success.
+[[nodiscard]] int finish_telemetry(const Args& args) {
+  if (!spacefts::telemetry::kCompiledIn) return 0;
+  int rc = 0;
+  if (args.has("--trace-out")) {
+    const std::string path = args.text("--trace-out");
+    if (spacefts::telemetry::write_trace(path)) {
+      std::printf("wrote trace %s\n", path.c_str());
+    } else {
+      rc = kExitFailure;
     }
-    spacefts::telemetry::set_enabled(true);
   }
-
-  /// Writes the requested artifacts after the run; 0 on success.
-  [[nodiscard]] int finish() const {
-    if (!requested() || !spacefts::telemetry::kCompiledIn) return 0;
-    int rc = 0;
-    if (!trace_out.empty()) {
-      if (spacefts::telemetry::write_trace(trace_out)) {
-        std::printf("wrote trace %s\n", trace_out.c_str());
-      } else {
-        rc = kExitFailure;
-      }
+  if (args.has("--metrics-out")) {
+    const std::string path = args.text("--metrics-out");
+    if (spacefts::telemetry::write_metrics(path)) {
+      std::printf("wrote metrics %s\n", path.c_str());
+    } else {
+      rc = kExitFailure;
     }
-    if (!metrics_out.empty()) {
-      if (spacefts::telemetry::write_metrics(metrics_out)) {
-        std::printf("wrote metrics %s\n", metrics_out.c_str());
-      } else {
-        rc = kExitFailure;
-      }
-    }
-    return rc;
   }
-};
+  return rc;
+}
 
 /// Learns the baseline geometry from the first HDU whose header and
 /// payload agree (a real deployment knows it a priori).
@@ -505,25 +567,24 @@ spacefts::common::TemporalStack<std::uint16_t> load_stack(
   return std::move(result.stack);
 }
 
-int cmd_gen(int argc, char** argv) {
-  std::vector<const char*> positional;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--", 0) == 0) return bad_flag(arg, "unknown flag");
-    positional.push_back(argv[i]);
-  }
-  if (positional.empty() || positional.size() > 4) return usage();
-  const std::string out = positional[0];
+/// Converts positional \p index, when given, into \p out; false after
+/// reporting a value that does not parse.
+template <typename T>
+bool positional(const Args& args, std::size_t index, T& out, const char* what) {
+  const auto& pos = args.positional;
+  if (index >= pos.size() || convert(pos[index], out)) return true;
+  (void)bad_flag(pos[index], std::string("bad ") + what + " value");
+  return false;
+}
+
+int cmd_gen(const Args& args) {
+  const std::string& out = args.positional[0];
   std::size_t frames = 64, side = 32;
   std::uint64_t seed = 1;
-  if (positional.size() > 1 && !parse_size(positional[1], frames)) {
-    return bad_flag(positional[1], "bad frames value");
-  }
-  if (positional.size() > 2 && !parse_size(positional[2], side)) {
-    return bad_flag(positional[2], "bad side value");
-  }
-  if (positional.size() > 3 && !parse_u64(positional[3], seed)) {
-    return bad_flag(positional[3], "bad seed value");
+  if (!positional(args, 1, frames, "frames") ||
+      !positional(args, 2, side, "side") ||
+      !positional(args, 3, seed, "seed")) {
+    return kExitBadFlag;
   }
 
   spacefts::datagen::NgstSimulator sim(seed);
@@ -537,29 +598,14 @@ int cmd_gen(int argc, char** argv) {
   return 0;
 }
 
-int cmd_corrupt(int argc, char** argv) {
-  std::vector<const char*> positional;
-  bool hit_header = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--header") {
-      hit_header = true;
-    } else if (arg.rfind("--", 0) == 0) {
-      return bad_flag(arg, "unknown flag");
-    } else {
-      positional.push_back(argv[i]);
-    }
-  }
-  if (positional.size() < 3 || positional.size() > 4) return usage();
-  const std::string in = positional[0];
-  const std::string out = positional[1];
+int cmd_corrupt(const Args& args) {
+  const std::string& in = args.positional[0];
+  const std::string& out = args.positional[1];
   double gamma0 = 0.0;
   std::uint64_t seed = 2;
-  if (!parse_double(positional[2], gamma0)) {
-    return bad_flag(positional[2], "bad gamma0 value");
-  }
-  if (positional.size() > 3 && !parse_u64(positional[3], seed)) {
-    return bad_flag(positional[3], "bad seed value");
+  if (!positional(args, 2, gamma0, "gamma0") ||
+      !positional(args, 3, seed, "seed")) {
+    return kExitBadFlag;
   }
 
   auto file = spacefts::fits::read_file(in);
@@ -576,7 +622,7 @@ int cmd_corrupt(int argc, char** argv) {
     }
     flipped += spacefts::fault::count_faults<std::uint16_t>(mask);
   }
-  if (hit_header && !file.hdus().empty()) {
+  if (args.has("--header") && !file.hdus().empty()) {
     auto& header = file.hdus()[file.hdus().size() / 2].header;
     const auto naxis1 = header.get_int("NAXIS1").value_or(0);
     header.set_int("NAXIS1", naxis1 ^ 0x20);
@@ -590,59 +636,25 @@ int cmd_corrupt(int argc, char** argv) {
   return 0;
 }
 
-int cmd_ingest(int argc, char** argv) {
-  // Positional <in> <out> [lambda] [upsilon]; flags may appear anywhere.
-  std::vector<const char*> positional;
-  std::size_t threads = 1;
-  spacefts::core::Kernel kernel = spacefts::core::Kernel::kAuto;
-  TelemetryOptions telem;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--threads") {
-      const char* v = value();
-      if (!parse_size(v, threads)) return bad_flag(arg, "bad thread count");
-    } else if (arg == "--kernel") {
-      if (!parse_kernel_flag(value(), kernel)) {
-        return bad_flag(arg, "bad kernel name");
-      }
-    } else if (arg == "--trace-out") {
-      const char* v = value();
-      if (v == nullptr) return bad_flag(arg, "missing file argument");
-      telem.trace_out = v;
-    } else if (arg == "--metrics-out") {
-      const char* v = value();
-      if (v == nullptr) return bad_flag(arg, "missing file argument");
-      telem.metrics_out = v;
-    } else if (arg.rfind("--", 0) == 0) {
-      return bad_flag(arg, "unknown flag");
-    } else {
-      positional.push_back(argv[i]);
-    }
-  }
-  if (positional.size() < 2 || positional.size() > 4) return usage();
-  const std::string in = positional[0];
-  const std::string out = positional[1];
+int cmd_ingest(const Args& args) {
+  const std::string& in = args.positional[0];
+  const std::string& out = args.positional[1];
   double lambda = 80.0;
   std::size_t upsilon = 4;
-  if (positional.size() > 2 && !parse_double(positional[2], lambda)) {
-    return bad_flag(positional[2], "bad lambda value");
-  }
-  if (positional.size() > 3 && !parse_size(positional[3], upsilon)) {
-    return bad_flag(positional[3], "bad upsilon value");
+  if (!positional(args, 2, lambda, "lambda") ||
+      !positional(args, 3, upsilon, "upsilon")) {
+    return kExitBadFlag;
   }
 
   const auto bytes = spacefts::fits::read_bytes(in);
   spacefts::ingest::IngestConfig config;
   config.algo.lambda = lambda;
   config.algo.upsilon = upsilon;
-  config.algo.threads = threads;
-  config.algo.kernel = kernel;
+  args.get("--threads", config.algo.threads);
+  args.get("--kernel", config.algo.kernel);
   config.expectation = probe_expectation(bytes);
 
-  telem.arm();
+  arm_telemetry(args);
   const spacefts::ingest::IngestGuard guard(config);
   const auto result = guard.ingest(bytes);
   std::size_t issues = 0, repaired = 0;
@@ -653,7 +665,7 @@ int cmd_ingest(int argc, char** argv) {
   std::printf("sanity: %zu issue(s), %zu repaired\n", issues, repaired);
   if (!result.ok) {
     std::fprintf(stderr, "ingest failed: %s\n", result.error.c_str());
-    const int telem_rc = telem.finish();
+    const int telem_rc = finish_telemetry(args);
     return telem_rc != 0 ? telem_rc : kExitFailure;
   }
   std::printf("preprocessing: %zu bits corrected across %zu pixels\n",
@@ -662,15 +674,11 @@ int cmd_ingest(int argc, char** argv) {
   spacefts::fits::write_bytes(out,
                               spacefts::ingest::IngestGuard::pack(result.stack));
   std::printf("wrote %s\n", out.c_str());
-  return telem.finish();
+  return finish_telemetry(args);
 }
 
-int cmd_info(int argc, char** argv) {
-  if (argc != 3) return usage();
-  if (std::string(argv[2]).rfind("--", 0) == 0) {
-    return bad_flag(argv[2], "unknown flag");
-  }
-  const auto file = spacefts::fits::read_file(argv[2]);
+int cmd_info(const Args& args) {
+  const auto file = spacefts::fits::read_file(args.positional[0]);
   std::printf("%zu HDU(s)\n", file.hdus().size());
   for (std::size_t i = 0; i < file.hdus().size(); ++i) {
     const auto& hdu = file.hdus()[i];
@@ -684,15 +692,9 @@ int cmd_info(int argc, char** argv) {
   return 0;
 }
 
-int cmd_psi(int argc, char** argv) {
-  if (argc != 4) return usage();
-  for (int i = 2; i < 4; ++i) {
-    if (std::string(argv[i]).rfind("--", 0) == 0) {
-      return bad_flag(argv[i], "unknown flag");
-    }
-  }
-  const auto a = load_stack(argv[2]);
-  const auto b = load_stack(argv[3]);
+int cmd_psi(const Args& args) {
+  const auto a = load_stack(args.positional[0]);
+  const auto b = load_stack(args.positional[1]);
   if (a.cube().size() != b.cube().size()) {
     std::fprintf(stderr, "baseline sizes differ\n");
     return kExitFailure;
@@ -703,96 +705,19 @@ int cmd_psi(int argc, char** argv) {
   return 0;
 }
 
-[[nodiscard]] bool parse_grid(const char* text, std::vector<double>& values) {
-  values.clear();
-  if (text == nullptr) return false;
-  const std::string s = text;
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    const std::size_t comma = s.find(',', pos);
-    const std::string item =
-        s.substr(pos, comma == std::string::npos ? std::string::npos
-                                                 : comma - pos);
-    if (!item.empty()) {
-      double v = 0.0;
-      if (!parse_double(item.c_str(), v)) return false;
-      values.push_back(v);
-    }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return !values.empty();
-}
-
-int cmd_pipeline(int argc, char** argv) {
-  // One end-to-end run under a deliberately lively default fault model, so
-  // a default invocation's trace shows the full protocol (retries, CRC
-  // rejects, degraded completions) rather than a straight-line success.
-  std::size_t side = 32, frames = 16, workers = 4, fragment_side = 16,
-              retries = 3, threads = 1;
-  double gamma0 = 0.002, crash_prob = 0.1, link_loss = 0.3, lambda = 80.0;
-  double control_budget_ms = 0.0;  ///< > 0: fit lambda/upsilon to budget
+int cmd_pipeline(const Args& args) {
+  if (const int rc = check_backend(args)) return rc;
+  std::size_t side = 32, frames = 16;
   std::uint64_t seed = 42;
-  spacefts::core::Kernel kernel = spacefts::core::Kernel::kAuto;
-  TelemetryOptions telem;
-  BackendOptions bopts;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (const int brc = parse_backend_flag(arg, value, bopts)) {
-      if (brc < 0) return -brc;
-      continue;
-    }
-    if (arg == "--side") {
-      if (!parse_size(value(), side)) return bad_flag(arg, "bad value");
-    } else if (arg == "--frames") {
-      if (!parse_size(value(), frames)) return bad_flag(arg, "bad value");
-    } else if (arg == "--workers") {
-      if (!parse_size(value(), workers)) return bad_flag(arg, "bad value");
-    } else if (arg == "--fragment-side") {
-      if (!parse_size(value(), fragment_side)) return bad_flag(arg, "bad value");
-    } else if (arg == "--gamma0") {
-      if (!parse_double(value(), gamma0)) return bad_flag(arg, "bad value");
-    } else if (arg == "--crash") {
-      if (!parse_double(value(), crash_prob)) return bad_flag(arg, "bad value");
-    } else if (arg == "--link-loss") {
-      if (!parse_double(value(), link_loss)) return bad_flag(arg, "bad value");
-    } else if (arg == "--lambda") {
-      if (!parse_double(value(), lambda)) return bad_flag(arg, "bad value");
-    } else if (arg == "--control-budget-ms") {
-      if (!parse_double(value(), control_budget_ms) ||
-          control_budget_ms <= 0.0) {
-        return bad_flag(arg, "budget must be > 0 ms");
-      }
-    } else if (arg == "--retries") {
-      if (!parse_size(value(), retries)) return bad_flag(arg, "bad value");
-    } else if (arg == "--seed") {
-      if (!parse_u64(value(), seed)) return bad_flag(arg, "bad value");
-    } else if (arg == "--threads") {
-      if (!parse_size(value(), threads)) return bad_flag(arg, "bad value");
-    } else if (arg == "--kernel") {
-      if (!parse_kernel_flag(value(), kernel)) {
-        return bad_flag(arg, "bad kernel name");
-      }
-    } else if (arg == "--trace-out") {
-      const char* v = value();
-      if (v == nullptr) return bad_flag(arg, "missing file argument");
-      telem.trace_out = v;
-    } else if (arg == "--metrics-out") {
-      const char* v = value();
-      if (v == nullptr) return bad_flag(arg, "missing file argument");
-      telem.metrics_out = v;
-    } else if (arg.rfind("--", 0) == 0) {
-      return bad_flag(arg, "unknown flag");
-    } else {
-      return usage();
-    }
-  }
-  if (const char* err = bopts.validate()) return bad_flag("--backend", err);
+  double control_budget_ms = 0.0;  ///< > 0: fit lambda/upsilon to budget
+  args.get("--side", side);
+  args.get("--frames", frames);
+  args.get("--seed", seed);
+  args.get("--control-budget-ms", control_budget_ms);
+  auto kernel = spacefts::core::Kernel::kAuto;
+  args.get("--kernel", kernel);
 
-  telem.arm();
+  arm_telemetry(args);
   spacefts::datagen::NgstSimulator gen(seed);
   spacefts::datagen::SceneParams scene;
   scene.width = side;
@@ -816,21 +741,25 @@ int cmd_pipeline(int argc, char** argv) {
   }
   readouts = std::move(ingested.stack);
 
+  // One end-to-end run under a deliberately lively default fault model, so
+  // a default invocation's trace shows the full protocol (retries, CRC
+  // rejects, degraded completions) rather than a straight-line success.
   spacefts::dist::PipelineConfig pc;
-  pc.workers = workers;
-  pc.fragment_side = fragment_side;
-  pc.gamma0 = gamma0;
-  pc.worker_crash_prob = crash_prob;
-  pc.link.faults.drop_prob = link_loss;
-  pc.link.faults.corrupt_prob = link_loss;
-  pc.link.faults.duplicate_prob = link_loss / 2.0;
-  pc.link.faults.delay_prob = link_loss;
-  pc.algo.lambda = lambda;
+  pc.workers = 4;
+  pc.fragment_side = 16;
+  pc.gamma0 = 0.002;
+  pc.worker_crash_prob = 0.1;
+  args.get("--workers", pc.workers);
+  args.get("--fragment-side", pc.fragment_side);
+  args.get("--gamma0", pc.gamma0);
+  args.get("--crash", pc.worker_crash_prob);
+  args.get("--lambda", pc.algo.lambda);
+  args.get("--threads", pc.threads);
+  args.get("--retries", pc.max_link_retries);
+  set_link_loss(args, 0.3, pc.link.faults);
   pc.algo.kernel = kernel;
-  pc.threads = threads;
-  pc.max_link_retries = retries;
   std::shared_ptr<spacefts::backend::ShadowBackend> shadow;
-  if (const auto backend = bopts.build(&shadow)) {
+  if (const auto backend = build_backend(args, &shadow)) {
     // Fragment i computes as epoch 1 + i so fault plans and shadow samples
     // are per-fragment, matching the serving tier's pipeline epochs.
     pc.ngst_executor = [backend](
@@ -882,12 +811,11 @@ int cmd_pipeline(int argc, char** argv) {
         "  shadow guard: %zu executed, %zu sampled, %zu mismatches%s\n",
         health.executed, health.sampled, health.mismatches,
         health.quarantined ? " [QUARANTINE]" : "");
-    if (!bopts.log_out.empty() &&
-        !write_backend_log(bopts.log_out, shadow)) {
+    if (args.has("--backend-log") && !write_backend_log(args, shadow)) {
       return kExitFailure;
     }
   }
-  return telem.finish();
+  return finish_telemetry(args);
 }
 
 /// The end-to-end downlink scenario as a verb: fly the full chain once
@@ -895,107 +823,32 @@ int cmd_pipeline(int argc, char** argv) {
 /// deframe → science product) and report fidelity vs the clean-chain
 /// golden.  --out writes the received product as a Rice-compressed FITS —
 /// deterministic bytes, so CI `cmp`s runs across thread counts.
-int cmd_downlink(int argc, char** argv) {
+int cmd_downlink(const Args& args) {
   spacefts::downlink::ChainConfig config;
-  std::string out_path, golden_path;
-  BackendOptions backend;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    const int backend_taken = parse_backend_flag(arg, value, backend);
-    if (backend_taken < 0) return -backend_taken;
-    if (backend_taken > 0) continue;
-    if (arg == "--workload") {
-      const char* v = value();
-      if (v != nullptr && std::string(v) == "ngst") {
-        config.workload = spacefts::downlink::ChainWorkload::kNgstImage;
-      } else if (v != nullptr && std::string(v) == "telemetry") {
-        config.workload = spacefts::downlink::ChainWorkload::kTelemetry;
-      } else {
-        return bad_flag(arg, "must be ngst or telemetry");
-      }
-    } else if (arg == "--side") {
-      if (!parse_size(value(), config.side) || config.side == 0) {
-        return bad_flag(arg, "bad value");
-      }
-    } else if (arg == "--frames") {
-      if (!parse_size(value(), config.frames) || config.frames < 3) {
-        return bad_flag(arg, "need >= 3 frames");
-      }
-    } else if (arg == "--tile-rows") {
-      if (!parse_size(value(), config.tile_rows) || config.tile_rows == 0) {
-        return bad_flag(arg, "bad value");
-      }
-    } else if (arg == "--lambda") {
-      if (!parse_double(value(), config.lambda) || config.lambda < 0.0 ||
-          config.lambda > 100.0) {
-        return bad_flag(arg, "lambda must be in [0, 100]");
-      }
-    } else if (arg == "--upsilon") {
-      if (!parse_size(value(), config.upsilon) || config.upsilon == 0 ||
-          config.upsilon % 2 != 0) {
-        return bad_flag(arg, "upsilon must be a positive even count");
-      }
-    } else if (arg == "--gamma0") {
-      if (!parse_double(value(), config.gamma0) || config.gamma0 < 0.0 ||
-          config.gamma0 > 1.0) {
-        return bad_flag(arg, "gamma0 must be in [0, 1]");
-      }
-    } else if (arg == "--link-loss") {
-      double loss = 0.0;
-      if (!parse_double(value(), loss) || loss < 0.0 || loss > 1.0) {
-        return bad_flag(arg, "link-loss must be in [0, 1]");
-      }
-      config.link.drop_prob = loss;
-      config.link.corrupt_prob = loss;
-      config.link.duplicate_prob = loss / 2.0;
-      config.link.delay_prob = loss;
-    } else if (arg == "--no-preprocess") {
-      config.preprocess = false;
-    } else if (arg == "--seed") {
-      if (!parse_u64(value(), config.seed)) return bad_flag(arg, "bad value");
-    } else if (arg == "--threads") {
-      if (!parse_size(value(), config.threads)) {
-        return bad_flag(arg, "bad value");
-      }
-    } else if (arg == "--kernel") {
-      if (!parse_kernel_flag(value(), config.kernel)) {
-        return bad_flag(arg, "must be auto, scalar, swar, or avx2");
-      }
-    } else if (arg == "--out") {
-      const char* v = value();
-      if (v == nullptr) return bad_flag(arg, "missing file argument");
-      out_path = v;
-    } else if (arg == "--golden-out") {
-      const char* v = value();
-      if (v == nullptr) return bad_flag(arg, "missing file argument");
-      golden_path = v;
-    } else if (arg.rfind("--", 0) == 0) {
-      return bad_flag(arg, "unknown flag");
-    } else {
-      return usage();
-    }
+  args.get("--workload", config.workload);
+  args.get("--side", config.side);
+  args.get("--frames", config.frames);
+  args.get("--tile-rows", config.tile_rows);
+  args.get("--lambda", config.lambda);
+  args.get("--upsilon", config.upsilon);
+  args.get("--gamma0", config.gamma0);
+  if (args.has("--link-loss")) set_link_loss(args, 0.0, config.link);
+  config.preprocess = !args.has("--no-preprocess");
+  args.get("--seed", config.seed);
+  args.get("--threads", config.threads);
+  args.get("--kernel", config.kernel);
+  if (config.upsilon % 2 != 0) {
+    return bad_flag("--upsilon", "upsilon must be a positive even count");
   }
-  if (const char* complaint = backend.validate()) {
-    return bad_flag("--backend", complaint);
-  }
-  for (const std::string* path : {&out_path, &golden_path}) {
-    if (!path->empty() && !probe_writable(*path)) {
-      return bad_flag("--out/--golden-out", "path is not writable");
-    }
-  }
+  if (const int rc = check_backend(args)) return rc;
+  const std::string out_path = args.text("--out");
+  const std::string golden_path = args.text("--golden-out");
   std::shared_ptr<spacefts::backend::ShadowBackend> shadow;
-  config.backend = backend.build(&shadow);
+  config.backend = build_backend(args, &shadow);
 
-  spacefts::downlink::ChainReport report;
-  try {
-    report = spacefts::downlink::run_chain(config);
-  } catch (const std::exception& ex) {
-    std::fprintf(stderr, "downlink: %s\n", ex.what());
-    return kExitFailure;
-  }
+  // The rows already enforce run_chain's config checks; anything it still
+  // throws is an operational failure for main() to report.
+  const auto report = spacefts::downlink::run_chain(config);
 
   std::printf("downlink: workload=%s side=%zu frames=%zu lambda=%g "
               "gamma0=%g preprocess=%s\n",
@@ -1024,238 +877,77 @@ int cmd_downlink(int argc, char** argv) {
         file.hdus().push_back(spacefts::downlink::make_compressed_hdu(image));
         spacefts::fits::write_bytes(path, file.serialize());
       };
-  try {
-    if (!out_path.empty()) {
-      write_product(out_path, report.product);
-      std::printf("wrote product %s\n", out_path.c_str());
-    }
-    if (!golden_path.empty()) {
-      write_product(golden_path, report.golden);
-      std::printf("wrote golden %s\n", golden_path.c_str());
-    }
-  } catch (const spacefts::fits::FitsError& ex) {
-    std::fprintf(stderr, "downlink: %s\n", ex.what());
-    return kExitFailure;
+  if (!out_path.empty()) {
+    write_product(out_path, report.product);
+    std::printf("wrote product %s\n", out_path.c_str());
   }
-  if (!backend.log_out.empty() && shadow &&
-      !write_backend_log(backend.log_out, shadow)) {
+  if (!golden_path.empty()) {
+    write_product(golden_path, report.golden);
+    std::printf("wrote golden %s\n", golden_path.c_str());
+  }
+  if (args.has("--backend-log") && shadow && !write_backend_log(args, shadow)) {
     return kExitFailure;
   }
   return 0;
 }
 
-/// Parses a --shard-kill operand of the form "I@C": kill shard I once the
-/// router has recorded C results.
-bool parse_shard_kill(const char* text, std::size_t& shard,
-                      std::uint64_t& after) {
-  if (text == nullptr) return false;
-  const std::string token(text);
-  const auto at = token.find('@');
-  if (at == std::string::npos || at == 0 || at + 1 == token.size()) {
-    return false;
+/// The tail every campaign mode shares: write the report's JSONL rows,
+/// print the summary line, write the telemetry artifacts, then run the
+/// --enforce gate.
+template <typename Report>
+int finish_campaign(const Args& args, const std::string& path,
+                    const Report& report, const std::string& summary) {
+  namespace camp = spacefts::campaign;
+  // The drift report is a byte-comparable artifact, so it replaces the
+  // file; every other sweep upserts its keyed rows into a shared file.
+  constexpr bool kDrift = std::is_same_v<Report, camp::DriftReport>;
+  const std::string rows = camp::to_jsonl(report);
+  if (kDrift ? !write_text("campaign", path, rows)
+             : !spacefts::telemetry::jsonl::upsert_jsonl(
+                   rows, camp::campaign_row_key, path)) {
+    return kExitFailure;
   }
-  return parse_size(token.substr(0, at).c_str(), shard) &&
-         parse_u64(token.substr(at + 1).c_str(), after);
+  std::printf("campaign: %s %s\n", summary.c_str(), path.c_str());
+  const int telem_rc = finish_telemetry(args);
+  if (args.has("--enforce")) {
+    std::string diagnostics;
+    std::size_t violations = 0;
+    if constexpr (kDrift) {
+      violations = camp::enforce_drift(report, diagnostics);
+    } else {
+      violations = camp::enforce(report, diagnostics);
+    }
+    if (violations > 0) {
+      std::fprintf(stderr, "campaign enforce: %zu violation(s)\n%s",
+                   violations, diagnostics.c_str());
+      return kExitFailure;
+    }
+    std::printf("campaign enforce: pass\n");
+  }
+  return telem_rc;
 }
 
-int cmd_campaign(int argc, char** argv) {
-  spacefts::campaign::CampaignConfig config;
-  std::string out_path = "BENCH_campaign.json";
-  bool enforce = false;
-  // Drifting-gamma0 controller sweep (--control): reuses --gamma0 as the
-  // phase schedule and --lambda as the fixed-baseline grid.
-  bool control_mode = false, gamma_set = false, lambda_set = false,
-       link_set = false, out_set = false;
-  std::size_t phase_len = 96, drift_shards = 0;
-  std::vector<std::pair<std::size_t, std::uint64_t>> drift_kills;
-  double control_budget_ms = 0.0;
-  // Compute-fault x shadow-rate sweep (--compute): detected-vs-escaped
-  // curve for the backend subsystem's untrusted-accelerator axis.
-  bool compute_mode = false;
-  spacefts::campaign::ComputeSweepConfig compute_cfg;
-  bool fault_rates_set = false, shadow_rates_set = false, requests_set = false;
-  // End-to-end downlink fidelity sweep (--downlink): reuses the --gamma0/
-  // --link-loss/--lambda grids as chain axes.
-  bool downlink_mode = false;
-  spacefts::campaign::DownlinkSweepConfig downlink_cfg;
-  bool downlink_shape_set = false;
-  TelemetryOptions telem;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--gamma0") {
-      if (!parse_grid(value(), config.gamma0_grid)) {
-        return bad_flag(arg, "bad grid value");
-      }
-      gamma_set = true;
-    } else if (arg == "--crash") {
-      if (!parse_grid(value(), config.crash_grid)) {
-        return bad_flag(arg, "bad grid value");
-      }
-    } else if (arg == "--link-loss") {
-      if (!parse_grid(value(), config.link_loss_grid)) {
-        return bad_flag(arg, "bad grid value");
-      }
-      link_set = true;
-    } else if (arg == "--lambda") {
-      if (!parse_grid(value(), config.lambda_grid)) {
-        return bad_flag(arg, "bad grid value");
-      }
-      lambda_set = true;
-    } else if (arg == "--control") {
-      control_mode = true;
-    } else if (arg == "--compute") {
-      compute_mode = true;
-    } else if (arg == "--downlink") {
-      downlink_mode = true;
-    } else if (arg == "--workloads") {
-      const char* v = value();
-      if (v == nullptr) return bad_flag(arg, "missing list");
-      downlink_cfg.workload_grid.clear();
-      std::stringstream list(v);
-      std::string token;
-      while (std::getline(list, token, ',')) {
-        if (token == "ngst") {
-          downlink_cfg.workload_grid.push_back(
-              spacefts::downlink::ChainWorkload::kNgstImage);
-        } else if (token == "telemetry") {
-          downlink_cfg.workload_grid.push_back(
-              spacefts::downlink::ChainWorkload::kTelemetry);
-        } else {
-          return bad_flag(arg, "workloads are ngst and telemetry");
-        }
-      }
-      if (downlink_cfg.workload_grid.empty()) {
-        return bad_flag(arg, "missing list");
-      }
-      downlink_shape_set = true;
-    } else if (arg == "--side") {
-      if (!parse_size(value(), downlink_cfg.side) || downlink_cfg.side == 0) {
-        return bad_flag(arg, "bad value");
-      }
-      downlink_shape_set = true;
-    } else if (arg == "--frames") {
-      if (!parse_size(value(), downlink_cfg.frames) ||
-          downlink_cfg.frames < 3) {
-        return bad_flag(arg, "need >= 3 frames");
-      }
-      downlink_shape_set = true;
-    } else if (arg == "--tile-rows") {
-      if (!parse_size(value(), downlink_cfg.tile_rows) ||
-          downlink_cfg.tile_rows == 0) {
-        return bad_flag(arg, "bad value");
-      }
-      downlink_shape_set = true;
-    } else if (arg == "--fault-rates") {
-      if (!parse_grid(value(), compute_cfg.fault_rate_grid)) {
-        return bad_flag(arg, "bad grid value");
-      }
-      fault_rates_set = true;
-    } else if (arg == "--shadow-rates") {
-      if (!parse_grid(value(), compute_cfg.shadow_rate_grid)) {
-        return bad_flag(arg, "bad grid value");
-      }
-      shadow_rates_set = true;
-    } else if (arg == "--requests") {
-      if (!parse_size(value(), compute_cfg.requests) ||
-          compute_cfg.requests == 0) {
-        return bad_flag(arg, "bad value");
-      }
-      requests_set = true;
-    } else if (arg == "--phase-len") {
-      if (!parse_size(value(), phase_len) || phase_len == 0) {
-        return bad_flag(arg, "bad value");
-      }
-    } else if (arg == "--shards") {
-      if (!parse_size(value(), drift_shards) || drift_shards == 0) {
-        return bad_flag(arg, "must be a positive shard count");
-      }
-    } else if (arg == "--shard-kill") {
-      std::size_t victim = 0;
-      std::uint64_t after = 0;
-      if (!parse_shard_kill(value(), victim, after)) {
-        return bad_flag(arg, "expected SHARD@RESULT_COUNT (e.g. 1@50)");
-      }
-      drift_kills.emplace_back(victim, after);
-    } else if (arg == "--control-budget-ms") {
-      if (!parse_double(value(), control_budget_ms) ||
-          control_budget_ms <= 0.0) {
-        return bad_flag(arg, "budget must be > 0 ms");
-      }
-    } else if (arg == "--trials") {
-      if (!parse_size(value(), config.trials)) {
-        return bad_flag(arg, "bad value");
-      }
-    } else if (arg == "--seed") {
-      if (!parse_u64(value(), config.seed)) return bad_flag(arg, "bad value");
-    } else if (arg == "--threads") {
-      if (!parse_size(value(), config.threads)) {
-        return bad_flag(arg, "bad value");
-      }
-    } else if (arg == "--retries") {
-      if (!parse_size(value(), config.max_link_retries)) {
-        return bad_flag(arg, "bad value");
-      }
-    } else if (arg == "--no-retries") {
-      config.max_link_retries = 0;
-    } else if (arg == "--out") {
-      const char* v = value();
-      if (v == nullptr) return bad_flag(arg, "missing file argument");
-      out_path = v;
-      out_set = true;
-    } else if (arg == "--enforce") {
-      enforce = true;
-    } else if (arg == "--trace-out") {
-      const char* v = value();
-      if (v == nullptr) return bad_flag(arg, "missing file argument");
-      telem.trace_out = v;
-    } else if (arg == "--metrics-out") {
-      const char* v = value();
-      if (v == nullptr) return bad_flag(arg, "missing file argument");
-      telem.metrics_out = v;
-    } else if (arg.rfind("--", 0) == 0) {
-      return bad_flag(arg, "unknown flag");
-    } else {
-      return usage();
-    }
-  }
+int cmd_campaign(const Args& args) {
+  namespace camp = spacefts::campaign;
+  const std::string out_path = args.text("--out", "BENCH_campaign.json");
 
-  if (!control_mode &&
-      (drift_shards > 0 || !drift_kills.empty() || control_budget_ms > 0.0)) {
-    return bad_flag("--shards/--shard-kill/--control-budget-ms",
-                    "require --control");
-  }
-  if (control_mode + compute_mode + downlink_mode > 1) {
-    return bad_flag("--control/--compute/--downlink",
-                    "modes are mutually exclusive");
-  }
-  if (!compute_mode && (fault_rates_set || shadow_rates_set || requests_set)) {
-    return bad_flag("--fault-rates/--shadow-rates/--requests",
-                    "require --compute");
-  }
-  if (!downlink_mode && downlink_shape_set) {
-    return bad_flag("--workloads/--side/--frames/--tile-rows",
-                    "require --downlink");
-  }
-
-  if (downlink_mode) {
-    // Shared grid flags override the sweep's own defaults only when given
-    // explicitly — the classic campaign's defaults are not chain defaults.
-    if (gamma_set) downlink_cfg.gamma0_grid = config.gamma0_grid;
-    if (link_set) downlink_cfg.link_loss_grid = config.link_loss_grid;
-    if (lambda_set) downlink_cfg.lambda_grid = config.lambda_grid;
-    downlink_cfg.trials = config.trials;
-    downlink_cfg.seed = config.seed;
-    downlink_cfg.threads = config.threads;
-    telem.arm();
-    spacefts::campaign::DownlinkSweepReport report;
-    try {
-      report = spacefts::campaign::run_downlink_sweep(downlink_cfg);
-    } catch (const std::invalid_argument& ex) {
-      return bad_flag("--downlink", ex.what());
-    }
+  if (args.has("--downlink")) {
+    // End-to-end downlink fidelity sweep: the --gamma0/--link-loss/--lambda
+    // grids become chain axes, replacing the sweep's own defaults only when
+    // given — the classic campaign's defaults are not chain defaults.
+    camp::DownlinkSweepConfig dc;
+    args.get("--gamma0", dc.gamma0_grid);
+    args.get("--link-loss", dc.link_loss_grid);
+    args.get("--lambda", dc.lambda_grid);
+    args.get("--workloads", dc.workload_grid);
+    args.get("--side", dc.side);
+    args.get("--frames", dc.frames);
+    args.get("--tile-rows", dc.tile_rows);
+    args.get("--trials", dc.trials);
+    args.get("--seed", dc.seed);
+    args.get("--threads", dc.threads);
+    arm_telemetry(args);
+    const auto report = camp::run_downlink_sweep(dc);
     std::printf("%-10s %8s %10s %8s %9s %9s %9s %9s %9s\n", "workload",
                 "gamma0", "link_loss", "lambda", "psnr_on", "psnr_off",
                 "match_on", "match_off", "degraded");
@@ -1265,38 +957,22 @@ int cmd_campaign(int argc, char** argv) {
                   c.link_loss, c.lambda, c.psnr_on_db, c.psnr_off_db,
                   c.match_on, c.match_off, c.degraded_on, c.degraded_off);
     }
-    if (!spacefts::telemetry::jsonl::upsert_jsonl(
-            spacefts::campaign::to_jsonl(report),
-            spacefts::campaign::campaign_row_key, out_path)) {
-      std::fprintf(stderr, "campaign: cannot write %s\n", out_path.c_str());
-      return kExitFailure;
-    }
-    std::printf("campaign: downlink sweep, %zu cells; appended to %s\n",
-                report.cells.size(), out_path.c_str());
-    const int telem_rc = telem.finish();
-    if (enforce) {
-      std::string diagnostics;
-      const std::size_t violations =
-          spacefts::campaign::enforce(report, diagnostics);
-      if (violations > 0) {
-        std::fprintf(stderr, "campaign enforce: %zu violation(s)\n%s",
-                     violations, diagnostics.c_str());
-        return kExitFailure;
-      }
-      std::printf("campaign enforce: pass\n");
-    }
-    return telem_rc;
+    return finish_campaign(args, out_path, report,
+                           "downlink sweep, " +
+                               std::to_string(report.cells.size()) +
+                               " cells; appended to");
   }
 
-  if (compute_mode) {
-    compute_cfg.seed = config.seed;
-    telem.arm();
-    spacefts::campaign::ComputeSweepReport report;
-    try {
-      report = spacefts::campaign::run_compute_sweep(compute_cfg);
-    } catch (const std::invalid_argument& ex) {
-      return bad_flag("--fault-rates/--shadow-rates", ex.what());
-    }
+  if (args.has("--compute")) {
+    // Compute-fault x shadow-rate sweep: detected-vs-escaped curve for the
+    // backend subsystem's untrusted-accelerator axis.
+    camp::ComputeSweepConfig cc;
+    args.get("--fault-rates", cc.fault_rate_grid);
+    args.get("--shadow-rates", cc.shadow_rate_grid);
+    args.get("--requests", cc.requests);
+    args.get("--seed", cc.seed);
+    arm_telemetry(args);
+    const auto report = camp::run_compute_sweep(cc);
     std::printf("%-12s %-12s %8s %8s %8s %8s %8s %s\n", "fault_rate",
                 "shadow_rate", "requests", "injected", "detected", "escaped",
                 "stalls", "quarantine");
@@ -1305,64 +981,42 @@ int cmd_campaign(int argc, char** argv) {
                   c.shadow_rate, c.requests, c.injected, c.detected, c.escaped,
                   c.stalls, c.quarantined ? "yes" : "no");
     }
-    if (!spacefts::telemetry::jsonl::upsert_jsonl(
-            spacefts::campaign::to_jsonl(report),
-            spacefts::campaign::campaign_row_key, out_path)) {
-      std::fprintf(stderr, "campaign: cannot write %s\n", out_path.c_str());
-      return kExitFailure;
-    }
-    std::printf("campaign: compute sweep, %zu cells; appended to %s\n",
-                report.cells.size(), out_path.c_str());
-    const int telem_rc = telem.finish();
-    if (enforce) {
-      std::string diagnostics;
-      const std::size_t violations =
-          spacefts::campaign::enforce(report, diagnostics);
-      if (violations > 0) {
-        std::fprintf(stderr, "campaign enforce: %zu violation(s)\n%s",
-                     violations, diagnostics.c_str());
-        return kExitFailure;
-      }
-      std::printf("campaign enforce: pass\n");
-    }
-    return telem_rc;
+    return finish_campaign(args, out_path, report,
+                           "compute sweep, " +
+                               std::to_string(report.cells.size()) +
+                               " cells; appended to");
   }
 
-  if (control_mode) {
-    spacefts::campaign::DriftConfig dc;
-    if (gamma_set) {
+  if (args.has("--control")) {
+    // Drifting-gamma0 controller sweep: --gamma0 is the phase schedule and
+    // --lambda the fixed-baseline grid.
+    camp::DriftConfig dc;
+    std::size_t phase_len = 96;
+    args.get("--phase-len", phase_len);
+    if (args.has("--gamma0")) {
+      std::vector<double> schedule;
+      args.get("--gamma0", schedule);
       dc.phases.clear();
-      for (const double gamma0 : config.gamma0_grid) {
+      for (const double gamma0 : schedule) {
         dc.phases.push_back({gamma0, phase_len});
       }
     } else {
       for (auto& phase : dc.phases) phase.requests = phase_len;
     }
-    if (lambda_set) dc.lambda_grid = config.lambda_grid;
-    dc.seed = config.seed;
+    args.get("--lambda", dc.lambda_grid);
+    args.get("--seed", dc.seed);
     // --threads means serve worker threads here (the determinism axis the
     // control-smoke CI job sweeps); the classic grid uses it for trials.
-    dc.workers = config.threads > 0 ? config.threads : 2;
-    dc.shards = drift_shards;
-    dc.shard_kills = drift_kills;
-    if (control_budget_ms > 0.0) {
-      dc.control.deadline_budget_ms = control_budget_ms;
-    }
+    std::size_t threads = 1;
+    args.get("--threads", threads);
+    dc.workers = threads > 0 ? threads : 2;
+    args.get("--shards", dc.shards);
+    args.get("--shard-kill", dc.shard_kills);
+    if (const int rc = check_shard_kills(dc.shard_kills, dc.shards)) return rc;
+    args.get("--control-budget-ms", dc.control.deadline_budget_ms);
 
-    telem.arm();
-    const auto report = spacefts::campaign::run_drift(dc);
-    const std::string drift_out =
-        out_set ? out_path : std::string("control_drift.jsonl");
-    {
-      // Truncate, not append: the file is a byte-comparable artifact.
-      std::ofstream out(drift_out, std::ios::trunc);
-      if (!out) {
-        std::fprintf(stderr, "campaign: cannot write %s\n",
-                     drift_out.c_str());
-        return kExitFailure;
-      }
-      out << spacefts::campaign::to_jsonl(report);
-    }
+    arm_telemetry(args);
+    const auto report = camp::run_drift(dc);
     for (const auto& arm : report.arms) {
       std::printf(
           "control %-12s science %12.0f  corrected %llu/%llu  vetoed %llu"
@@ -1374,226 +1028,89 @@ int cmd_campaign(int argc, char** argv) {
           arm.virtual_cost_ms_mean, arm.virtual_compliance, arm.decisions,
           arm.raises, arm.relaxes, arm.sheds);
     }
-    std::printf("campaign: controller sweep, %zu arms; wrote %s\n",
-                report.arms.size(), drift_out.c_str());
-    const int telem_rc = telem.finish();
-    if (enforce) {
-      std::string diagnostics;
-      const std::size_t violations =
-          spacefts::campaign::enforce_drift(report, diagnostics);
-      if (violations > 0) {
-        std::fprintf(stderr, "campaign enforce: %zu violation(s)\n%s",
-                     violations, diagnostics.c_str());
-        return kExitFailure;
-      }
-      std::printf("campaign enforce: pass\n");
-    }
-    return telem_rc;
+    return finish_campaign(args, args.text("--out", "control_drift.jsonl"),
+                           report,
+                           "controller sweep, " +
+                               std::to_string(report.arms.size()) +
+                               " arms; wrote");
   }
 
-  telem.arm();
-  const auto report = spacefts::campaign::run_campaign(config);
-  spacefts::campaign::append_jsonl(report, out_path);
-  std::printf("campaign: %zu cells, %zu/%zu trials survived; appended to %s\n",
-              report.cells.size(), report.trials_survived, report.trials_run,
-              out_path.c_str());
-  const int telem_rc = telem.finish();
-  if (enforce) {
-    std::string diagnostics;
-    const std::size_t violations =
-        spacefts::campaign::enforce(report, diagnostics);
-    if (violations > 0) {
-      std::fprintf(stderr, "campaign enforce: %zu violation(s)\n%s",
-                   violations, diagnostics.c_str());
-      return kExitFailure;
-    }
-    std::printf("campaign enforce: pass\n");
-  }
-  return telem_rc;
+  camp::CampaignConfig config;
+  args.get("--gamma0", config.gamma0_grid);
+  args.get("--crash", config.crash_grid);
+  args.get("--link-loss", config.link_loss_grid);
+  args.get("--lambda", config.lambda_grid);
+  args.get("--trials", config.trials);
+  args.get("--seed", config.seed);
+  args.get("--threads", config.threads);
+  args.get("--retries", config.max_link_retries);
+  if (args.has("--no-retries")) config.max_link_retries = 0;
+  arm_telemetry(args);
+  const auto report = camp::run_campaign(config);
+  return finish_campaign(
+      args, out_path, report,
+      std::to_string(report.cells.size()) + " cells, " +
+          std::to_string(report.trials_survived) + "/" +
+          std::to_string(report.trials_run) + " trials survived; appended to");
 }
 
-int cmd_serve(int argc, char** argv) {
-  std::string replay_path, results_out, workload_out;
-  bool gen_only = false, pace = false;
-  bool control_enabled = false;
-  std::string control_out;
-  spacefts::control::ControlConfig control_cfg;
-  std::size_t shards = 0;  ///< 0 = classic single-server path
-  std::vector<std::pair<std::size_t, std::uint64_t>> shard_kills;
-  spacefts::fault::ShardFaultConfig chaos;
+int cmd_serve(const Args& args) {
   spacefts::serve::WorkloadSpec spec;
+  spec.ngst_side = 16;
+  spec.ngst_frames = 8;
+  args.get("--requests", spec.requests);
+  args.get("--rate", spec.rate_hz);
+  args.get("--seed", spec.seed);
+  args.get("--otis-frac", spec.otis_fraction);
+  args.get("--pipeline-frac", spec.pipeline_fraction);
+  args.get("--deadline-ms", spec.deadline_ms);
+  args.get("--priorities", spec.priority_levels);
+  args.get("--streams", spec.streams);
+
   spacefts::serve::ServerConfig config;
   // Replay defaults favour determinism: a bounded admission wait long
   // enough that statuses do not depend on scheduling luck.  Overload
   // studies opt into shedding with --admit-wait-ms 0.
   config.admission_timeout_ms = 10'000.0;
   config.exec.fragment_side = 8;
-  spec.ngst_side = 16;
-  spec.ngst_frames = 8;
-  TelemetryOptions telem;
-  BackendOptions bopts;
+  args.get("--capacity", config.capacity);
+  args.get("--threads", config.workers);
+  args.get("--batch", config.max_batch);
+  args.get("--linger-ms", config.batch_linger_ms);
+  args.get("--admit-wait-ms", config.admission_timeout_ms);
+  args.get("--ingress-drop", config.exec.ingress.drop_prob);
+  args.get("--ingress-corrupt", config.exec.ingress.corrupt_prob);
+  args.get("--kernel", config.exec.kernel);
 
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (const int brc = parse_backend_flag(arg, value, bopts)) {
-      if (brc < 0) return -brc;
-      continue;
-    }
-    if (arg == "--replay") {
-      const char* v = value();
-      if (v == nullptr) return bad_flag(arg, "missing file argument");
-      replay_path = v;
-    } else if (arg == "--requests") {
-      if (!parse_size(value(), spec.requests)) return bad_flag(arg, "bad value");
-    } else if (arg == "--rate") {
-      if (!parse_double(value(), spec.rate_hz)) return bad_flag(arg, "bad value");
-    } else if (arg == "--seed") {
-      if (!parse_u64(value(), spec.seed)) return bad_flag(arg, "bad value");
-    } else if (arg == "--otis-frac") {
-      if (!parse_double(value(), spec.otis_fraction)) {
-        return bad_flag(arg, "bad value");
-      }
-    } else if (arg == "--pipeline-frac") {
-      if (!parse_double(value(), spec.pipeline_fraction)) {
-        return bad_flag(arg, "bad value");
-      }
-    } else if (arg == "--deadline-ms") {
-      if (!parse_double(value(), spec.deadline_ms)) {
-        return bad_flag(arg, "bad value");
-      }
-    } else if (arg == "--priorities") {
-      std::size_t levels = 0;
-      if (!parse_size(value(), levels) || levels == 0) {
-        return bad_flag(arg, "bad value");
-      }
-      spec.priority_levels = static_cast<int>(levels);
-    } else if (arg == "--streams") {
-      if (!parse_size(value(), spec.streams)) return bad_flag(arg, "bad value");
-    } else if (arg == "--shards") {
-      if (!parse_size(value(), shards) || shards == 0) {
-        return bad_flag(arg, "must be a positive shard count");
-      }
-    } else if (arg == "--shard-kill") {
-      std::size_t victim = 0;
-      std::uint64_t after = 0;
-      if (!parse_shard_kill(value(), victim, after)) {
-        return bad_flag(arg, "expected SHARD@RESULT_COUNT (e.g. 1@50)");
-      }
-      shard_kills.emplace_back(victim, after);
-    } else if (arg == "--shard-crash") {
-      if (!parse_double(value(), chaos.crash_prob) || chaos.crash_prob < 0.0 ||
-          chaos.crash_prob > 1.0) {
-        return bad_flag(arg, "probability outside [0, 1]");
-      }
-    } else if (arg == "--shard-stall") {
-      if (!parse_double(value(), chaos.stall_prob) || chaos.stall_prob < 0.0 ||
-          chaos.stall_prob > 1.0) {
-        return bad_flag(arg, "probability outside [0, 1]");
-      }
-    } else if (arg == "--shard-slow") {
-      if (!parse_double(value(), chaos.slow_prob) || chaos.slow_prob < 0.0 ||
-          chaos.slow_prob > 1.0) {
-        return bad_flag(arg, "probability outside [0, 1]");
-      }
-    } else if (arg == "--capacity") {
-      if (!parse_size(value(), config.capacity)) {
-        return bad_flag(arg, "bad value");
-      }
-    } else if (arg == "--threads") {
-      if (!parse_size(value(), config.workers)) {
-        return bad_flag(arg, "bad value");
-      }
-    } else if (arg == "--batch") {
-      if (!parse_size(value(), config.max_batch)) {
-        return bad_flag(arg, "bad value");
-      }
-    } else if (arg == "--kernel") {
-      if (!parse_kernel_flag(value(), config.exec.kernel)) {
-        return bad_flag(arg, "bad kernel name");
-      }
-    } else if (arg == "--linger-ms") {
-      if (!parse_double(value(), config.batch_linger_ms)) {
-        return bad_flag(arg, "bad value");
-      }
-    } else if (arg == "--admit-wait-ms") {
-      if (!parse_double(value(), config.admission_timeout_ms)) {
-        return bad_flag(arg, "bad value");
-      }
-    } else if (arg == "--ingress-drop") {
-      if (!parse_double(value(), config.exec.ingress.drop_prob)) {
-        return bad_flag(arg, "bad value");
-      }
-    } else if (arg == "--ingress-corrupt") {
-      if (!parse_double(value(), config.exec.ingress.corrupt_prob)) {
-        return bad_flag(arg, "bad value");
-      }
-    } else if (arg == "--control") {
-      control_enabled = true;
-    } else if (arg == "--control-out") {
-      const char* v = value();
-      if (v == nullptr) return bad_flag(arg, "missing file argument");
-      control_out = v;
-    } else if (arg == "--control-budget-ms") {
-      if (!parse_double(value(), control_cfg.deadline_budget_ms) ||
-          control_cfg.deadline_budget_ms <= 0.0) {
-        return bad_flag(arg, "budget must be > 0 ms");
-      }
-    } else if (arg == "--control-window") {
-      if (!parse_size(value(), control_cfg.window) ||
-          control_cfg.window == 0) {
-        return bad_flag(arg, "bad value");
-      }
-    } else if (arg == "--control-lag") {
-      if (!parse_size(value(), control_cfg.lag) || control_cfg.lag == 0) {
-        return bad_flag(arg, "bad value");
-      }
-    } else if (arg == "--pace") {
-      pace = true;
-    } else if (arg == "--gen-only") {
-      gen_only = true;
-    } else if (arg == "--results-out") {
-      const char* v = value();
-      if (v == nullptr) return bad_flag(arg, "missing file argument");
-      results_out = v;
-    } else if (arg == "--workload-out") {
-      const char* v = value();
-      if (v == nullptr) return bad_flag(arg, "missing file argument");
-      workload_out = v;
-    } else if (arg == "--trace-out") {
-      const char* v = value();
-      if (v == nullptr) return bad_flag(arg, "missing file argument");
-      telem.trace_out = v;
-    } else if (arg == "--metrics-out") {
-      const char* v = value();
-      if (v == nullptr) return bad_flag(arg, "missing file argument");
-      telem.metrics_out = v;
-    } else if (arg.rfind("--", 0) == 0) {
-      return bad_flag(arg, "unknown flag");
-    } else {
-      return usage();
-    }
-  }
+  std::size_t shards = 0;  ///< 0 = classic single-server path
+  args.get("--shards", shards);
+  std::vector<ShardKill> kills;
+  args.get("--shard-kill", kills);
+  spacefts::fault::ShardFaultConfig chaos;
+  args.get("--shard-crash", chaos.crash_prob);
+  args.get("--shard-stall", chaos.stall_prob);
+  args.get("--shard-slow", chaos.slow_prob);
+
+  spacefts::control::ControlConfig control_cfg;
+  args.get("--control-budget-ms", control_cfg.deadline_budget_ms);
+  args.get("--control-window", control_cfg.window);
+  args.get("--control-lag", control_cfg.lag);
+  const bool control_enabled = args.has("--control");
+  const bool gen_only = args.has("--gen-only");
+  const std::string replay_path = args.text("--replay");
+  const std::string workload_out = args.text("--workload-out");
+  const std::string control_out = args.text("--control-out");
+
   if (gen_only && workload_out.empty()) {
     return bad_flag("--gen-only", "requires --workload-out");
   }
   if (gen_only && !replay_path.empty()) {
     return bad_flag("--gen-only", "incompatible with --replay");
   }
-  if (shards == 0 && !shard_kills.empty()) {
-    return bad_flag("--shard-kill", "requires --shards");
-  }
+  if (const int rc = check_shard_kills(kills, shards)) return rc;
   if (shards == 0 && !chaos.perfect()) {
     return bad_flag("--shard-crash/--shard-stall/--shard-slow",
                     "require --shards");
-  }
-  for (const auto& [victim, after] : shard_kills) {
-    (void)after;
-    if (victim >= shards) {
-      return bad_flag("--shard-kill", "shard index out of range");
-    }
   }
   if (shards > 0 && config.workers == 0) {
     return bad_flag("--threads", "must be > 0 with --shards");
@@ -1601,60 +1118,38 @@ int cmd_serve(int argc, char** argv) {
   if (!control_enabled && !control_out.empty()) {
     return bad_flag("--control-out", "requires --control");
   }
-  if (const char* err = bopts.validate()) return bad_flag("--backend", err);
+  if (const int rc = check_backend(args)) return rc;
   if (control_enabled && config.workers == 0) {
     return bad_flag("--control",
                     "requires --threads > 0 (the admission gate needs a "
                     "running worker to make progress)");
   }
-  // Early writability probes: a typo'd output path exits 3 here, before the
-  // run burns minutes of compute only to fail at the final write.
-  const std::pair<const char*, const std::string*> out_paths[] = {
-      {"--trace-out", &telem.trace_out},
-      {"--metrics-out", &telem.metrics_out},
-      {"--results-out", &results_out},
-      {"--workload-out", &workload_out},
-      {"--control-out", &control_out},
-      {"--backend-log", &bopts.log_out}};
-  for (const auto& [flag, path] : out_paths) {
-    if (!path->empty() && !probe_writable(*path)) {
-      return bad_flag(flag, "cannot open for writing");
-    }
-  }
 
   // Obtain the workload: replay a committed file or generate in-process.
   std::vector<spacefts::serve::WorkloadItem> items;
   if (!replay_path.empty()) {
-    std::ifstream in(replay_path);
-    if (!in) {
-      std::fprintf(stderr, "serve: cannot read %s\n", replay_path.c_str());
-      return kExitFailure;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    items = spacefts::serve::parse_workload_jsonl(text.str());
+    std::string text;
+    if (!read_text("serve", replay_path, text)) return kExitFailure;
+    items = spacefts::serve::parse_workload_jsonl(text);
   } else {
     items = spacefts::serve::generate_workload(spec);
   }
   if (!workload_out.empty()) {
-    std::ofstream out(workload_out, std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "serve: cannot write %s\n", workload_out.c_str());
+    if (!write_text("serve", workload_out, spacefts::serve::to_jsonl(items))) {
       return kExitFailure;
     }
-    out << spacefts::serve::to_jsonl(items);
     std::printf("wrote workload %s (%zu requests)\n", workload_out.c_str(),
                 items.size());
   }
   if (gen_only) return 0;
 
-  telem.arm();
+  arm_telemetry(args);
   // One backend stack shared by every shard: the shadow guard's health is
   // a property of the accelerator substrate, not of any one shard, and its
   // per-(request, epoch) streams are order-independent so sharing stays
   // deterministic.
   std::shared_ptr<spacefts::backend::ShadowBackend> shadow;
-  config.exec.backend = bopts.build(&shadow);
+  config.exec.backend = build_backend(args, &shadow);
   // The controller bank outlives the server/router so every worker-thread
   // tuner call and result observation lands on live state.
   std::optional<spacefts::control::ControllerBank> bank;
@@ -1669,6 +1164,7 @@ int cmd_serve(int argc, char** argv) {
       bank->observe(r);
     };
   }
+  const bool pace = args.has("--pace");
   std::vector<spacefts::serve::RequestResult> results;
   const auto start = std::chrono::steady_clock::now();
   const auto submit_all = [&](auto& sink) {
@@ -1697,7 +1193,7 @@ int cmd_serve(int argc, char** argv) {
       };
     }
     spacefts::serve::Router router(rc);
-    for (const auto& [victim, after] : shard_kills) {
+    for (const auto& [victim, after] : kills) {
       router.schedule_kill(victim, after);
     }
     submit_all(router);
@@ -1772,9 +1268,10 @@ int cmd_serve(int argc, char** argv) {
     std::printf("shadow guard: %zu executed, %zu sampled, %zu mismatches%s\n",
                 health.executed, health.sampled, health.mismatches,
                 health.quarantined ? " [QUARANTINE]" : "");
-    if (!bopts.log_out.empty()) {
-      if (!write_backend_log(bopts.log_out, shadow)) return kExitFailure;
-      std::printf("wrote backend decisions %s\n", bopts.log_out.c_str());
+    if (args.has("--backend-log")) {
+      if (!write_backend_log(args, shadow)) return kExitFailure;
+      std::printf("wrote backend decisions %s\n",
+                  args.text("--backend-log").c_str());
     }
   }
   if (bank) {
@@ -1782,95 +1279,48 @@ int cmd_serve(int argc, char** argv) {
                 bank->stream_count(), bank->decisions().size());
   }
   if (bank && !control_out.empty()) {
-    std::ofstream out(control_out, std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "serve: cannot write %s\n", control_out.c_str());
+    if (!write_text("serve", control_out,
+                    spacefts::control::decisions_to_jsonl(bank->decisions()))) {
       return kExitFailure;
     }
-    out << spacefts::control::decisions_to_jsonl(bank->decisions());
     std::printf("wrote control decisions %s\n", control_out.c_str());
   }
 
-  if (!results_out.empty()) {
-    std::ofstream out(results_out, std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "serve: cannot write %s\n", results_out.c_str());
+  if (args.has("--results-out")) {
+    const std::string results_out = args.text("--results-out");
+    if (!write_text("serve", results_out,
+                    spacefts::serve::results_to_jsonl(std::move(results)))) {
       return kExitFailure;
     }
-    out << spacefts::serve::results_to_jsonl(std::move(results));
     std::printf("wrote results %s\n", results_out.c_str());
   }
   // kFailed requests (e.g. ingress corruption the sanity layer could not
   // repair) are deterministic served outcomes recorded in the results, not
   // operational errors of the CLI run.
-  return telem.finish();
+  return finish_telemetry(args);
 }
 
-int cmd_check(int argc, char** argv) {
+int cmd_check(const Args& args) {
   std::uint64_t seed = 1;
   std::size_t cases = 50;
-  std::string corpus_out, replay_path;
+  args.get("--seed", seed);
+  args.get("--cases", cases);
   spacefts::check::RunOptions options;
-
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--seed") {
-      if (!parse_u64(value(), seed)) return bad_flag(arg, "bad value");
-    } else if (arg == "--cases") {
-      if (!parse_size(value(), cases) || cases == 0) {
-        return bad_flag(arg, "bad value");
-      }
-    } else if (arg == "--threads") {
-      const char* v = value();
-      if (v == nullptr) return bad_flag(arg, "missing value");
-      options.threads.clear();
-      std::stringstream stream(v);
-      std::string item;
-      while (std::getline(stream, item, ',')) {
-        std::size_t count = 0;
-        if (!parse_size(item.c_str(), count) || count == 0) {
-          return bad_flag(arg, "bad thread list");
-        }
-        options.threads.push_back(count);
-      }
-      if (options.threads.empty()) return bad_flag(arg, "empty thread list");
-    } else if (arg == "--kernel") {
-      spacefts::core::Kernel kernel = spacefts::core::Kernel::kAuto;
-      if (!parse_kernel_flag(value(), kernel)) {
-        return bad_flag(arg, "bad kernel name");
-      }
-      // auto keeps the default cross-kernel sweep; an explicit variant
-      // narrows the diff families to that one kernel.
-      if (kernel != spacefts::core::Kernel::kAuto) options.kernels = {kernel};
-    } else if (arg == "--corpus-out") {
-      const char* v = value();
-      if (v == nullptr) return bad_flag(arg, "missing file argument");
-      corpus_out = v;
-    } else if (arg == "--replay") {
-      const char* v = value();
-      if (v == nullptr) return bad_flag(arg, "missing file argument");
-      replay_path = v;
-    } else if (arg.rfind("--", 0) == 0) {
-      return bad_flag(arg, "unknown flag");
-    } else {
-      return usage();
-    }
-  }
+  args.get("--threads", options.threads);
+  // auto keeps the default cross-kernel sweep; an explicit variant narrows
+  // the diff families to that one kernel.
+  auto kernel = spacefts::core::Kernel::kAuto;
+  args.get("--kernel", kernel);
+  if (kernel != spacefts::core::Kernel::kAuto) options.kernels = {kernel};
+  const std::string corpus_out = args.text("--corpus-out");
+  const std::string replay_path = args.text("--replay");
 
   spacefts::check::CheckReport report;
   if (!replay_path.empty()) {
-    std::ifstream in(replay_path);
-    if (!in) {
-      std::fprintf(stderr, "check: cannot read %s\n", replay_path.c_str());
-      return kExitFailure;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
+    std::string text;
+    if (!read_text("check", replay_path, text)) return kExitFailure;
     report = spacefts::check::run_cases(
-        spacefts::check::parse_corpus_jsonl(text.str()), options);
+        spacefts::check::parse_corpus_jsonl(text), options);
   } else {
     report = spacefts::check::run_fuzz(seed, cases, options);
   }
@@ -1893,43 +1343,269 @@ int cmd_check(int argc, char** argv) {
         specs.push_back(failure.spec);
       }
     }
-    std::ofstream out(corpus_out, std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "check: cannot write %s\n", corpus_out.c_str());
+    if (!write_text("check", corpus_out,
+                    spacefts::check::corpus_to_jsonl(specs))) {
       return kExitFailure;
     }
-    out << spacefts::check::corpus_to_jsonl(specs);
     std::fprintf(stderr, "check: wrote %zu failing case(s) to %s\n",
                  specs.size(), corpus_out.c_str());
   }
   return report.ok() ? 0 : kExitFailure;
 }
 
+int cmd_version(const Args&) {
+  std::printf("spacefts_cli %s\n", SPACEFTS_VERSION);
+  return 0;
+}
+
+int cmd_help(const Args& args);
+
+/// Every verb: its positionals, its flag rows and its run function.  The
+/// parse loop, `help` and `main()` dispatch all read this one table.
+const std::vector<Verb>& verbs() {
+  static const std::vector<Verb> table = {
+      {"gen", "<out.fits> [frames=64] [side=32] [seed=1]", {}, cmd_gen,
+       "  synthesise a baseline (NGST Gaussian model) as a multi-HDU FITS\n"},
+      {"corrupt", "<in> <out> <gamma0> [seed=2]",
+       {{"--header", Kind::kSwitch}}, cmd_corrupt,
+       "  flip data bits with probability gamma0 per bit; --header also\n"
+       "  damages one structural keyword\n"},
+      {"ingest", "<in> <out> [lambda=80] [upsilon=4]",
+       rows({{{"--threads", Kind::kUnsigned, "N"}, kKernelFlag},
+             kTelemetryFlags}),
+       cmd_ingest,
+       "  run the ingest layer (sanity + Algo_NGST) and write the repaired\n"
+       "  baseline; output is identical for every --threads and --kernel\n"},
+      {"info", "<in>", {}, cmd_info, "  print HDU headers and geometry\n"},
+      {"psi", "<a> <b>", {}, cmd_psi,
+       "  the paper's average relative error between two baselines\n"},
+      {"pipeline", "",
+       rows({{{"--side", Kind::kUnsigned, "N", 1},
+              {"--frames", Kind::kUnsigned, "N", 3},
+              {"--workers", Kind::kUnsigned, "N", 1},
+              {"--fragment-side", Kind::kUnsigned, "N", 1},
+              {"--gamma0", Kind::kDouble, "X", 0.0, 1.0},
+              {"--crash", Kind::kDouble, "X", 0.0, 1.0},
+              {"--link-loss", Kind::kDouble, "X", 0.0, 1.0},
+              {"--lambda", Kind::kDouble, "X", 0.0, 100.0},
+              {"--retries", Kind::kUnsigned, "N"},
+              {"--seed", Kind::kUnsigned, "S"},
+              {"--threads", Kind::kUnsigned, "N"},
+              kKernelFlag,
+              {"--control-budget-ms", Kind::kDouble, "X", kPositive}},
+             kBackendFlags, kTelemetryFlags}),
+       cmd_pipeline,
+       "  ingest one baseline and run the distributed pipeline once under a\n"
+       "  lively default fault model (the single-run form of campaign)\n"},
+      {"campaign", "",
+       rows({{only(kControl, {"--control", Kind::kMode}),
+              only(kCompute, {"--compute", Kind::kMode}),
+              only(kDownlink, {"--downlink", Kind::kMode}),
+              only(kClassic | kControl | kDownlink,
+                   {"--gamma0", Kind::kDouble, "a,b", 0.0, 1.0}),
+              only(kClassic, {"--crash", Kind::kDouble, "a,b", 0.0, 1.0}),
+              only(kClassic | kDownlink,
+                   {"--link-loss", Kind::kDouble, "a,b", 0.0, 1.0}),
+              only(kClassic | kControl | kDownlink,
+                   {"--lambda", Kind::kDouble, "a,b", 0.0, 100.0}),
+              only(kClassic | kDownlink, {"--trials", Kind::kUnsigned, "N", 1}),
+              {"--seed", Kind::kUnsigned, "S"},
+              only(kClassic | kControl | kDownlink,
+                   {"--threads", Kind::kUnsigned, "N"}),
+              only(kClassic, {"--retries", Kind::kUnsigned, "N"}),
+              only(kClassic, {"--no-retries", Kind::kSwitch}),
+              {"--out", Kind::kOutPath, "file"},
+              {"--enforce", Kind::kSwitch},
+              only(kControl, {"--phase-len", Kind::kUnsigned, "N", 1}),
+              only(kControl, {"--shards", Kind::kUnsigned, "N", 1}),
+              only(kControl, {"--shard-kill", Kind::kShardKill, "I@C"}),
+              only(kControl,
+                   {"--control-budget-ms", Kind::kDouble, "X", kPositive}),
+              only(kCompute,
+                   {"--fault-rates", Kind::kDouble, "a,b", 0.0, 1.0}),
+              only(kCompute,
+                   {"--shadow-rates", Kind::kDouble, "a,b", 0.0, 1.0}),
+              only(kCompute, {"--requests", Kind::kUnsigned, "N", 1}),
+              only(kDownlink,
+                   {"--workloads", Kind::kChoice, "ngst,telemetry"}),
+              only(kDownlink, {"--side", Kind::kUnsigned, "N", 1}),
+              only(kDownlink, {"--frames", Kind::kUnsigned, "N", 3}),
+              only(kDownlink, {"--tile-rows", Kind::kUnsigned, "N", 1})},
+             kTelemetryFlags}),
+       cmd_campaign,
+       "  sweep a seeded fault grid over the distributed pipeline into --out\n"
+       "  (default BENCH_campaign.json; control_drift.jsonl under --control);\n"
+       "  --control races the adaptive controller over drifting gamma0,\n"
+       "  --compute sweeps compute faults x shadow rates, --downlink sweeps\n"
+       "  fidelity with preprocessing on vs off; --enforce gates each claim\n"},
+      {"downlink", "",
+       rows({{{"--workload", Kind::kChoice, "ngst|telemetry"},
+              {"--side", Kind::kUnsigned, "N", 1},
+              {"--frames", Kind::kUnsigned, "N", 3},
+              {"--tile-rows", Kind::kUnsigned, "N", 1},
+              {"--lambda", Kind::kDouble, "X", 0.0, 100.0},
+              {"--upsilon", Kind::kUnsigned, "N", 2},
+              {"--gamma0", Kind::kDouble, "X", 0.0, 1.0},
+              {"--link-loss", Kind::kDouble, "X", 0.0, 1.0},
+              {"--no-preprocess", Kind::kSwitch},
+              {"--seed", Kind::kUnsigned, "S"},
+              {"--threads", Kind::kUnsigned, "N"},
+              kKernelFlag,
+              {"--out", Kind::kOutPath, "file"},
+              {"--golden-out", Kind::kOutPath, "file"}},
+             kBackendFlags}),
+       cmd_downlink,
+       "  fly the flight chain once (preprocess, rice, CRC/Hamming frames,\n"
+       "  faulty link, deframe) and report fidelity vs the clean golden\n"},
+      {"serve", "",
+       rows({{{"--replay", Kind::kInPath, "file"},
+              {"--requests", Kind::kUnsigned, "N", 1},
+              {"--rate", Kind::kDouble, "X", kPositive},
+              {"--otis-frac", Kind::kDouble, "X", 0.0, 1.0},
+              {"--pipeline-frac", Kind::kDouble, "X", 0.0, 1.0},
+              {"--deadline-ms", Kind::kDouble, "X"},
+              {"--priorities", Kind::kUnsigned, "N", 1, INT_MAX},
+              {"--seed", Kind::kUnsigned, "S"},
+              {"--streams", Kind::kUnsigned, "N"},
+              {"--capacity", Kind::kUnsigned, "N", 1},
+              {"--threads", Kind::kUnsigned, "N"},
+              {"--batch", Kind::kUnsigned, "N", 1},
+              {"--linger-ms", Kind::kDouble, "X", 0.0},
+              {"--admit-wait-ms", Kind::kDouble, "X", 0.0},
+              {"--pace", Kind::kSwitch},
+              {"--ingress-drop", Kind::kDouble, "X", 0.0, 1.0},
+              {"--ingress-corrupt", Kind::kDouble, "X", 0.0, 1.0},
+              {"--shards", Kind::kUnsigned, "N", 1},
+              {"--shard-kill", Kind::kShardKill, "I@C"},
+              {"--shard-crash", Kind::kDouble, "X", 0.0, 1.0},
+              {"--shard-stall", Kind::kDouble, "X", 0.0, 1.0},
+              {"--shard-slow", Kind::kDouble, "X", 0.0, 1.0},
+              {"--results-out", Kind::kOutPath, "file"},
+              {"--workload-out", Kind::kOutPath, "file"},
+              {"--gen-only", Kind::kSwitch},
+              kKernelFlag,
+              {"--control", Kind::kSwitch},
+              {"--control-out", Kind::kOutPath, "file"},
+              {"--control-budget-ms", Kind::kDouble, "X", kPositive},
+              {"--control-window", Kind::kUnsigned, "N", 1},
+              {"--control-lag", Kind::kUnsigned, "N", 1}},
+             kBackendFlags, kTelemetryFlags}),
+       cmd_serve,
+       "  run the preprocessing service over a replayed or generated\n"
+       "  open-loop workload (--gen-only stops after --workload-out)\n"},
+      {"check", "",
+       {{"--seed", Kind::kUnsigned, "S"},
+        {"--cases", Kind::kUnsigned, "N", 1},
+        {"--threads", Kind::kUnsigned, "a,b,c", 1},
+        kKernelFlag,
+        {"--corpus-out", Kind::kOutPath, "file"},
+        {"--replay", Kind::kInPath, "file"}},
+       cmd_check,
+       "  fuzz seeded cases (or --replay a corpus) against the golden oracles\n"
+       "  at every (kernel, thread count); exits 1 on any divergence\n"},
+      {"version", "", {}, cmd_version,
+       "  print the tool version (also spacefts_cli --version)\n"},
+      {"help", "[verb]", {}, cmd_help,
+       "  print the global usage, or one verb's usage\n"},
+  };
+  return table;
+}
+
+const Verb* find_verb(const std::string& name) {
+  for (const Verb& verb : verbs()) {
+    if (name == verb.name) return &verb;
+  }
+  return nullptr;
+}
+
+/// Prints \p line followed by \p words, wrapping at 80 columns.
+void print_wrapped(std::FILE* out, std::string line,
+                   const std::vector<std::string>& words) {
+  for (const auto& word : words) {
+    if (line.size() + 1 + word.size() > 80) {
+      std::fprintf(out, "%s\n", line.c_str());
+      line.assign(15, ' ');
+    }
+    line += ' ' + word;
+  }
+  std::fprintf(out, "%s\n", line.c_str());
+}
+
+void print_synopsis(std::FILE* out, const Verb& verb) {
+  std::vector<std::string> words;
+  if (*verb.positionals != '\0') words.emplace_back(verb.positionals);
+  for (const Flag& row : verb.flags) {
+    std::string& word = words.emplace_back("[");
+    word += row.name;
+    if (*row.meta != '\0') word.append(" ").append(row.meta);
+    word += ']';
+  }
+  print_wrapped(out, std::string("  spacefts_cli ") + verb.name, words);
+}
+
+void print_usage(std::FILE* out) {
+  std::fputs("usage:\n", out);
+  for (const Verb& verb : verbs()) print_synopsis(out, verb);
+  std::fputs("exit codes: 0 ok, 1 failed, 2 usage error, 3 bad flag value;"
+             " `help <verb>` describes one verb\n", out);
+}
+
+int usage() {
+  print_usage(stderr);
+  return kExitUsage;
+}
+
+int cmd_help(const Args& args) {
+  if (args.positional.empty()) {
+    print_usage(stdout);
+    return 0;
+  }
+  const Verb* verb = find_verb(args.positional[0]);
+  if (verb == nullptr) {
+    std::fprintf(stderr, "spacefts_cli: help: unknown verb '%s'\n",
+                 args.positional[0].c_str());
+    return usage();
+  }
+  std::fputs("usage:\n", stdout);
+  print_synopsis(stdout, *verb);
+  std::fputs(verb->summary, stdout);
+  if (verb->mode_names(kAnyMode, "").empty()) return 0;
+  std::fputs("  mode-only flags (the others apply in every mode; a flag used"
+             " outside\n  its mode exits 3):\n",
+             stdout);
+  for (unsigned mode = kClassic; mode < kAnyMode; mode <<= 1) {
+    std::vector<std::string> names;
+    for (const Flag& row : verb->flags) {
+      if (row.kind != Kind::kMode && row.modes != kAnyMode &&
+          (row.modes & mode) != 0) {
+        names.emplace_back(row.name);
+      }
+    }
+    const std::string label =
+        mode == kClassic ? "default" : verb->mode_names(mode, "");
+    print_wrapped(stdout, "    " + label + ":", names);
+  }
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
-  const std::string command = argv[1];
-  if (command == "version" || command == "--version") {
-    std::printf("spacefts_cli %s\n", SPACEFTS_VERSION);
-    return 0;
+  std::string name = argv[1];
+  if (name == "--version") name = "version";
+  if (name == "--help") name = "help";
+  const Verb* verb = find_verb(name);
+  if (verb == nullptr) {
+    std::fprintf(stderr, "spacefts_cli: unknown verb '%s'\n", name.c_str());
+    return usage();
   }
-  if (command == "help" || command == "--help") return cmd_help(argc, argv);
   try {
-    if (command == "gen") return cmd_gen(argc, argv);
-    if (command == "corrupt") return cmd_corrupt(argc, argv);
-    if (command == "ingest") return cmd_ingest(argc, argv);
-    if (command == "info") return cmd_info(argc, argv);
-    if (command == "psi") return cmd_psi(argc, argv);
-    if (command == "pipeline") return cmd_pipeline(argc, argv);
-    if (command == "campaign") return cmd_campaign(argc, argv);
-    if (command == "downlink") return cmd_downlink(argc, argv);
-    if (command == "serve") return cmd_serve(argc, argv);
-    if (command == "check") return cmd_check(argc, argv);
+    Args args;
+    if (const int rc = parse_args(*verb, argc, argv, args)) return rc;
+    return verb->run(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return kExitFailure;
   }
-  std::fprintf(stderr, "spacefts_cli: unknown verb '%s'\n", command.c_str());
-  return usage();
 }
