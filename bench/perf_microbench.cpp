@@ -18,7 +18,10 @@
 #include "spacefts/core/kernel.hpp"
 #include "spacefts/datagen/ngst.hpp"
 #include "spacefts/datagen/otis_scenes.hpp"
+#include "spacefts/datagen/telemetry.hpp"
 #include "spacefts/downlink/chain.hpp"
+#include "spacefts/downlink/compressed_hdu.hpp"
+#include "spacefts/edac/crc32.hpp"
 #include "spacefts/edac/protected_memory.hpp"
 #include "spacefts/fault/models.hpp"
 #include "spacefts/fits/fits.hpp"
@@ -151,6 +154,77 @@ void BM_RiceCompress(benchmark::State& state) {
                           static_cast<std::int64_t>(data.size() * 2));
 }
 BENCHMARK(BM_RiceCompress);
+
+void BM_RiceDecompress(benchmark::State& state) {
+  spacefts::datagen::NgstSimulator sim(0xBEEF5);
+  std::vector<std::uint16_t> data;
+  for (int s = 0; s < 64; ++s) {
+    const auto seq = sim.sequence();
+    data.insert(data.end(), seq.begin(), seq.end());
+  }
+  const auto stream = spacefts::rice::compress16(data);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        spacefts::rice::decompress16(stream, data.size()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(data.size() * 2));
+}
+BENCHMARK(BM_RiceDecompress);
+
+void BM_Crc32(benchmark::State& state) {
+  spacefts::common::Rng rng(0xBEEF8);
+  std::vector<std::uint8_t> bytes(64 * 1024);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(spacefts::edac::crc32(bytes));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Crc32);
+
+/// The serialized FITS payload of one downlink tile of the telemetry
+/// workload: 8 product rows (samples) of a 64-channel bank, Rice-compressed.
+std::vector<std::uint8_t> telemetry_tile_payload() {
+  spacefts::datagen::TelemetrySimulator sim(0xBEEF9);
+  spacefts::datagen::TelemetryParams params;
+  params.channels = 64;
+  params.samples = 8;
+  const auto bank = sim.stack(params);
+  spacefts::common::Image<std::uint16_t> band(bank.width(), bank.frames());
+  for (std::size_t t = 0; t < bank.frames(); ++t) {
+    for (std::size_t x = 0; x < bank.width(); ++x) band(x, t) = bank(x, 0, t);
+  }
+  spacefts::fits::FitsFile file;
+  file.hdus().push_back(spacefts::downlink::make_compressed_hdu(band));
+  return file.serialize();
+}
+
+/// Seals one telemetry tile: Hamming parity per word plus the CRC trailer.
+void BM_FrameProtect(benchmark::State& state) {
+  const auto payload = telemetry_tile_payload();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(spacefts::downlink::protect_frame(payload));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(payload.size()));
+}
+BENCHMARK(BM_FrameProtect);
+
+/// Opens one telemetry tile's frame: range(0) = 0 arrives clean (CRC fast
+/// path), 1 with one flipped data bit (SEC-DED pass and CRC recheck).
+void BM_FrameRecover(benchmark::State& state) {
+  const auto payload = telemetry_tile_payload();
+  auto frame = spacefts::downlink::protect_frame(payload);
+  if (state.range(0) != 0) frame[frame.size() / 3] ^= 0x10;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(spacefts::downlink::recover_frame(frame));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(payload.size()));
+}
+BENCHMARK(BM_FrameRecover)->ArgName("flipped")->Arg(0)->Arg(1);
 
 void BM_FitsRoundtrip(benchmark::State& state) {
   spacefts::datagen::NgstSimulator sim(0xBEEF6);

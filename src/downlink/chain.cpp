@@ -1,5 +1,6 @@
 #include "spacefts/downlink/chain.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -111,6 +112,13 @@ std::uint64_t load_word(const std::uint8_t* bytes) noexcept {
   return word;
 }
 
+std::uint32_t load_le32(const std::uint8_t* bytes) noexcept {
+  return static_cast<std::uint32_t>(bytes[0]) |
+         static_cast<std::uint32_t>(bytes[1]) << 8 |
+         static_cast<std::uint32_t>(bytes[2]) << 16 |
+         static_cast<std::uint32_t>(bytes[3]) << 24;
+}
+
 /// What one tile's flight contributes to the ChainReport.
 struct TileTally {
   std::size_t compressed_bytes = 0;
@@ -193,17 +201,17 @@ const char* to_string(ChainWorkload workload) noexcept {
 std::vector<std::uint8_t> protect_frame(std::span<const std::uint8_t> payload) {
   const std::size_t padded = (4 + payload.size() + 7) / 8 * 8;
   const std::size_t words = padded / 8;
+  // Sized and zeroed up front, so the word padding is already in place and
+  // each parity byte is stored, not appended.
   std::vector<std::uint8_t> frame;
   frame.reserve(padded + words + 4);
-  const auto length = static_cast<std::uint32_t>(payload.size());
-  frame.push_back(static_cast<std::uint8_t>(length));
-  frame.push_back(static_cast<std::uint8_t>(length >> 8));
-  frame.push_back(static_cast<std::uint8_t>(length >> 16));
-  frame.push_back(static_cast<std::uint8_t>(length >> 24));
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  frame.resize(padded, 0);
+  frame.resize(padded + words, 0);
+  for (int i = 0; i < 4; ++i) {
+    frame[i] = static_cast<std::uint8_t>(payload.size() >> (8 * i));
+  }
+  std::copy(payload.begin(), payload.end(), frame.begin() + 4);
   for (std::size_t w = 0; w < words; ++w) {
-    frame.push_back(edac::encode_parity(load_word(frame.data() + w * 8)));
+    frame[padded + w] = edac::encode_parity(load_word(frame.data() + w * 8));
   }
   edac::frame_append_crc(frame);
   return frame;
@@ -218,44 +226,48 @@ std::optional<std::vector<std::uint8_t>> recover_frame(
   const std::size_t words = (frame.size() - 4) / 9;
   const std::size_t data_bytes = words * 8;
 
-  // Fast path: an undamaged frame needs no correction.
+  // The payload behind the 4-byte length prefix at \p base, if the prefix
+  // fits the frame.
+  const auto payload_at =
+      [data_bytes](const std::uint8_t* base)
+      -> std::optional<std::vector<std::uint8_t>> {
+    const std::uint32_t length = load_le32(base);
+    if (length > data_bytes - 4) return std::nullopt;
+    return std::vector<std::uint8_t>(base + 4, base + 4 + length);
+  };
+
+  // Fast path: an undamaged frame needs no correction, so the payload is
+  // copied straight out of it.
+  if (edac::frame_verify(frame)) return payload_at(frame.data());
+
+  // SEC-DED pass: correct a single flipped bit per 72-bit word, wherever it
+  // landed (data or parity byte), and re-derive that word's parity byte so
+  // the CRC recheck sees a self-consistent frame.  A clean word's parity
+  // byte already equals encode_parity of its data.
   std::vector<std::uint8_t> corrected(frame.begin(),
                                       frame.end() - 4);  // data + parity
   std::size_t repairs = 0;
-  if (!edac::frame_verify(frame)) {
-    // SEC-DED pass: correct a single flipped bit per 72-bit word, wherever
-    // it landed (data or parity byte), then re-derive the parity bytes so
-    // the CRC recheck sees a self-consistent frame.
-    for (std::size_t w = 0; w < words; ++w) {
-      const auto result = edac::decode(load_word(corrected.data() + w * 8),
-                                       corrected[data_bytes + w]);
-      if (result.status == edac::DecodeStatus::kUncorrectable) {
-        return std::nullopt;
-      }
-      if (result.status == edac::DecodeStatus::kCorrected) ++repairs;
+  for (std::size_t w = 0; w < words; ++w) {
+    const auto result = edac::decode(load_word(corrected.data() + w * 8),
+                                     corrected[data_bytes + w]);
+    if (result.status == edac::DecodeStatus::kUncorrectable) {
+      return std::nullopt;
+    }
+    if (result.status == edac::DecodeStatus::kCorrected) {
+      ++repairs;
       std::memcpy(corrected.data() + w * 8, &result.data, 8);
       corrected[data_bytes + w] = edac::encode_parity(result.data);
     }
-    // Final integrity gate: the stored trailer must match the corrected
-    // content.  A mismatch means multi-bit damage aliased past SEC-DED or
-    // hit the trailer itself — either way the frame is lost, not wrong.
-    const std::uint32_t stored =
-        static_cast<std::uint32_t>(frame[frame.size() - 4]) |
-        static_cast<std::uint32_t>(frame[frame.size() - 3]) << 8 |
-        static_cast<std::uint32_t>(frame[frame.size() - 2]) << 16 |
-        static_cast<std::uint32_t>(frame[frame.size() - 1]) << 24;
-    if (edac::crc32(corrected) != stored) return std::nullopt;
   }
-
-  const std::uint32_t length =
-      static_cast<std::uint32_t>(corrected[0]) |
-      static_cast<std::uint32_t>(corrected[1]) << 8 |
-      static_cast<std::uint32_t>(corrected[2]) << 16 |
-      static_cast<std::uint32_t>(corrected[3]) << 24;
-  if (length > data_bytes - 4) return std::nullopt;
-  if (words_corrected != nullptr) *words_corrected = repairs;
-  return std::vector<std::uint8_t>(corrected.begin() + 4,
-                                   corrected.begin() + 4 + length);
+  // Final integrity gate: the stored trailer must match the corrected
+  // content.  A mismatch means multi-bit damage aliased past SEC-DED or hit
+  // the trailer itself — either way the frame is lost, not wrong.
+  if (edac::crc32(corrected) != load_le32(frame.data() + frame.size() - 4)) {
+    return std::nullopt;
+  }
+  auto payload = payload_at(corrected.data());
+  if (payload && words_corrected != nullptr) *words_corrected = repairs;
+  return payload;
 }
 
 ChainReport run_chain(const ChainConfig& config) {

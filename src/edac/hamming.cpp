@@ -24,25 +24,20 @@ constexpr int data_position(int i) noexcept {
   return position;
 }
 
-/// Lookup table: position of each of the 64 data bits.
-struct PositionTable {
-  int at[64];
-  constexpr PositionTable() : at{} {
-    for (int i = 0; i < 64; ++i) at[i] = data_position(i);
+/// Hamming parity bit j covers every code-word position with bit j set, so
+/// it is the parity of the data bits masked by at[j].
+struct ParityMasks {
+  std::uint64_t at[7];
+  constexpr ParityMasks() : at{} {
+    for (int i = 0; i < 64; ++i) {
+      const int position = data_position(i);
+      for (int j = 0; j < 7; ++j) {
+        if ((position >> j) & 1) at[j] |= std::uint64_t{1} << i;
+      }
+    }
   }
 };
-constexpr PositionTable kPositions{};
-
-/// XOR of code-word positions of all set data bits = Hamming syndrome core.
-[[nodiscard]] constexpr std::uint32_t position_xor(std::uint64_t data) noexcept {
-  std::uint32_t acc = 0;
-  while (data != 0) {
-    const int i = std::countr_zero(data);
-    acc ^= static_cast<std::uint32_t>(kPositions.at[i]);
-    data &= data - 1;
-  }
-  return acc;
-}
+constexpr ParityMasks kParityMasks{};
 
 /// Index of the data bit stored at code-word position `pos`, or -1 if the
 /// position holds a parity bit / is out of range.
@@ -58,11 +53,18 @@ constexpr PositionTable kPositions{};
 }  // namespace
 
 std::uint8_t encode_parity(std::uint64_t data) noexcept {
-  const std::uint32_t hamming = position_xor(data);  // 7 significant bits
-  std::uint8_t parity = static_cast<std::uint8_t>(hamming & 0x7F);
-  // Overall parity covers all 72 bits: data + the 7 Hamming bits.
-  const int ones = std::popcount(data) + std::popcount(hamming & 0x7Fu);
-  if (ones % 2 != 0) parity = static_cast<std::uint8_t>(parity | 0x80);
+  std::uint32_t hamming = 0;  // 7 significant bits
+  for (int j = 0; j < 7; ++j) {
+    hamming |= static_cast<std::uint32_t>(
+                   std::popcount(data & kParityMasks.at[j]) & 1)
+               << j;
+  }
+  std::uint8_t parity = static_cast<std::uint8_t>(hamming);
+  // Overall parity covers all 72 bits: data + the 7 Hamming bits.  The
+  // Hamming bits sit in the low 7 bits, so one parity of the XOR covers both.
+  if (std::popcount(data ^ hamming) & 1) {
+    parity = static_cast<std::uint8_t>(parity | 0x80);
+  }
   return parity;
 }
 
@@ -72,10 +74,9 @@ DecodeResult decode(std::uint64_t data, std::uint8_t parity) noexcept {
   const std::uint8_t syndrome_bits =
       static_cast<std::uint8_t>((expected ^ parity) & 0x7F);
   // Overall-parity check over the received 72 bits.
-  const int ones = std::popcount(data) +
-                   std::popcount(static_cast<std::uint32_t>(parity & 0x7Fu));
+  const bool odd = std::popcount(data ^ (parity & 0x7Fu)) & 1;
   const bool overall_stored = (parity & 0x80) != 0;
-  const bool overall_mismatch = ((ones % 2) != 0) != overall_stored;
+  const bool overall_mismatch = odd != overall_stored;
 
   if (syndrome_bits == 0 && !overall_mismatch) {
     return out;  // clean

@@ -2,56 +2,60 @@
 
 namespace spacefts::rice {
 
-void BitWriter::write_bits(std::uint64_t value, unsigned count) {
-  for (unsigned i = count; i-- > 0;) {
-    const bool bit = (value >> i) & 1;
-    const std::size_t byte_index = bit_count_ / 8;
-    if (byte_index == bytes_.size()) bytes_.push_back(0);
-    if (bit) {
-      bytes_[byte_index] =
-          static_cast<std::uint8_t>(bytes_[byte_index] | (0x80u >> (bit_count_ % 8)));
-    }
-    ++bit_count_;
+void BitWriter::put(std::uint64_t value, unsigned count) {
+  acc_ = (acc_ << count) | (value & ((std::uint64_t{1} << count) - 1));
+  pending_ += count;
+  if (pending_ >= 32) {
+    pending_ -= 32;
+    const auto word = static_cast<std::uint32_t>(acc_ >> pending_);
+    const std::size_t at = bytes_.size();
+    bytes_.resize(at + 4);
+    bytes_[at] = static_cast<std::uint8_t>(word >> 24);
+    bytes_[at + 1] = static_cast<std::uint8_t>(word >> 16);
+    bytes_[at + 2] = static_cast<std::uint8_t>(word >> 8);
+    bytes_[at + 3] = static_cast<std::uint8_t>(word);
   }
+}
+
+void BitWriter::write_bits(std::uint64_t value, unsigned count) {
+  if (count > 32) {
+    put(value >> 32, count - 32);
+    count = 32;
+  }
+  put(value, count);
 }
 
 void BitWriter::write_unary(std::uint64_t count) {
-  for (std::uint64_t i = 0; i < count; ++i) write_bits(1, 1);
-  write_bits(0, 1);
+  for (; count >= 32; count -= 32) put(0xFFFFFFFFu, 32);
+  // count < 32 ones, then the terminating zero.
+  put(((std::uint64_t{1} << count) - 1) << 1, static_cast<unsigned>(count) + 1);
 }
 
 std::vector<std::uint8_t> BitWriter::finish() {
-  std::vector<std::uint8_t> out = std::move(bytes_);
-  // Reset so a reused writer starts a fresh stream instead of indexing
-  // bit_count_/8 bits into the now-empty buffer.
-  bytes_.clear();
-  bit_count_ = 0;
-  return out;
-}
-
-bool BitReader::read_bit() {
-  if (pos_ >= size()) throw BitstreamError("BitReader: past end of stream");
-  const bool bit = (bytes_[pos_ / 8] >> (7 - pos_ % 8)) & 1;
-  ++pos_;
-  return bit;
-}
-
-std::uint64_t BitReader::read_bits(unsigned count) {
-  std::uint64_t out = 0;
-  for (unsigned i = 0; i < count; ++i) {
-    out = (out << 1) | static_cast<std::uint64_t>(read_bit());
-  }
-  return out;
-}
-
-std::uint64_t BitReader::read_unary(std::uint64_t max_run) {
-  std::uint64_t count = 0;
-  while (read_bit()) {
-    if (++count > max_run) {
-      throw BitstreamError("BitReader: unary run exceeds bound");
+  if (pending_ > 0) {
+    const std::uint64_t tail = acc_ << (64 - pending_);  // left-aligned
+    for (unsigned i = 0; i < (pending_ + 7) / 8; ++i) {
+      bytes_.push_back(static_cast<std::uint8_t>(tail >> (56 - 8 * i)));
     }
   }
-  return count;
+  std::vector<std::uint8_t> out = std::move(bytes_);
+  // Reset so a reused writer starts a fresh stream.
+  bytes_.clear();
+  acc_ = 0;
+  pending_ = 0;
+  return out;
 }
+
+std::uint64_t BitReader::window_near_end(std::span<const std::uint8_t> bytes,
+                                         std::size_t pos) noexcept {
+  const std::size_t byte = pos / 8;
+  std::uint64_t word = 0;
+  for (std::size_t i = byte; i < bytes.size(); ++i) {
+    word |= std::uint64_t{bytes[i]} << (56 - 8 * (i - byte));
+  }
+  return word << (pos % 8);
+}
+
+void BitReader::fail(const char* what) { throw BitstreamError(what); }
 
 }  // namespace spacefts::rice

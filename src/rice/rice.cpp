@@ -57,15 +57,17 @@ std::vector<std::uint8_t> compress16(std::span<const std::uint16_t> samples) {
       residuals.push_back(zigzag(delta));
       previous = samples[i + j];
     }
-    // Pick the cheapest k; compare against the verbatim escape.
+    // Pick the cheapest k; compare against the verbatim escape.  cost(k)
+    // is convex in k (each r >> k shrinks by ceil((r >> k) / 2), which never
+    // grows with k, while the k bits grow linearly), so the first k whose
+    // successor is no cheaper is the first global minimum.
     unsigned best_k = 0;
     std::size_t best_cost = rice_cost(residuals, 0);
     for (unsigned k = 1; k <= kMaxK; ++k) {
       const std::size_t cost = rice_cost(residuals, k);
-      if (cost < best_cost) {
-        best_cost = cost;
-        best_k = k;
-      }
+      if (cost >= best_cost) break;
+      best_cost = cost;
+      best_k = k;
     }
     const std::size_t verbatim_cost = block_len * 16;
     if (verbatim_cost < best_cost) {
@@ -89,30 +91,25 @@ std::vector<std::uint8_t> compress16(std::span<const std::uint16_t> samples) {
 std::vector<std::uint16_t> decompress16(std::span<const std::uint8_t> stream,
                                         std::size_t count) {
   BitReader reader(stream);
-  std::vector<std::uint16_t> out;
-  out.reserve(count);
+  std::vector<std::uint16_t> out(count);
   std::uint16_t previous = 0;
-  while (out.size() < count) {
+  for (std::size_t i = 0; i < count;) {
     const auto k = static_cast<unsigned>(reader.read_bits(5));
-    const std::size_t block_len = std::min(kBlockSamples, count - out.size());
+    const std::size_t block_end = i + std::min(kBlockSamples, count - i);
     if (k == kEscape) {
-      for (std::size_t j = 0; j < block_len; ++j) {
-        const auto v = static_cast<std::uint16_t>(reader.read_bits(16));
-        out.push_back(v);
-        previous = v;
+      for (; i < block_end; ++i) {
+        previous = static_cast<std::uint16_t>(reader.read_bits(16));
+        out[i] = previous;
       }
       continue;
     }
     if (k > kMaxK) throw BitstreamError("decompress16: invalid k");
-    for (std::size_t j = 0; j < block_len; ++j) {
-      const std::uint64_t quotient = reader.read_unary(kMaxMapped >> k);
-      const std::uint64_t remainder = k ? reader.read_bits(k) : 0;
-      const auto mapped = static_cast<std::uint32_t>((quotient << k) | remainder);
-      const std::int32_t delta = unzigzag(mapped);
-      const auto value = static_cast<std::uint16_t>(
-          static_cast<std::int32_t>(previous) + delta);
-      out.push_back(value);
-      previous = value;
+    for (; i < block_end; ++i) {
+      const auto mapped =
+          static_cast<std::uint32_t>(reader.read_rice(k, kMaxMapped >> k));
+      previous = static_cast<std::uint16_t>(
+          static_cast<std::int32_t>(previous) + unzigzag(mapped));
+      out[i] = previous;
     }
   }
   return out;

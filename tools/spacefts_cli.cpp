@@ -1112,18 +1112,10 @@ int cmd_serve(const Args& args) {
     return bad_flag("--shard-crash/--shard-stall/--shard-slow",
                     "require --shards");
   }
-  if (shards > 0 && config.workers == 0) {
-    return bad_flag("--threads", "must be > 0 with --shards");
-  }
   if (!control_enabled && !control_out.empty()) {
     return bad_flag("--control-out", "requires --control");
   }
   if (const int rc = check_backend(args)) return rc;
-  if (control_enabled && config.workers == 0) {
-    return bad_flag("--control",
-                    "requires --threads > 0 (the admission gate needs a "
-                    "running worker to make progress)");
-  }
 
   // Obtain the workload: replay a committed file or generate in-process.
   std::vector<spacefts::serve::WorkloadItem> items;
@@ -1468,7 +1460,7 @@ const std::vector<Verb>& verbs() {
               {"--seed", Kind::kUnsigned, "S"},
               {"--streams", Kind::kUnsigned, "N"},
               {"--capacity", Kind::kUnsigned, "N", 1},
-              {"--threads", Kind::kUnsigned, "N"},
+              {"--threads", Kind::kUnsigned, "N", 1},
               {"--batch", Kind::kUnsigned, "N", 1},
               {"--linger-ms", Kind::kDouble, "X", 0.0},
               {"--admit-wait-ms", Kind::kDouble, "X", 0.0},
