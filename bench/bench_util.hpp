@@ -11,10 +11,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <ctime>
-#include <fstream>
 #include <functional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "spacefts/common/random.hpp"
@@ -23,7 +21,6 @@
 #include "spacefts/fault/models.hpp"
 #include "spacefts/metrics/error.hpp"
 #include "spacefts/smoothing/temporal.hpp"
-#include "spacefts/telemetry/jsonl.hpp"
 
 namespace bench {
 
@@ -109,36 +106,6 @@ inline std::vector<double> measure_psi(
 #define SPACEFTS_GIT_SHA "unknown"
 #endif
 
-namespace detail {
-
-/// Extracts the raw token following `"key": ` in a JSON-lines record.
-/// Thin alias of the shared telemetry::jsonl helper (kept for the existing
-/// bench call sites).
-inline std::string json_field(std::string_view line, std::string_view key) {
-  return spacefts::telemetry::jsonl::json_field(line, key);
-}
-
-/// The run-configuration identity of one stack_preprocess record.  Records
-/// written before the kernel field existed measured the scalar path, so a
-/// missing kernel reads as "scalar" and legacy duplicates collapse into
-/// the matching modern row.
-inline std::string preprocess_record_key(std::string_view line) {
-  std::string kernel = json_field(line, "kernel");
-  if (kernel.empty()) kernel = "scalar";
-  return json_field(line, "bench") + "|" + json_field(line, "threads") + "|" +
-         json_field(line, "upsilon") + "|" + json_field(line, "lambda") + "|" +
-         kernel;
-}
-
-}  // namespace detail
-
-/// Bench-hygiene guard for values destined for a BENCH_*.json row.  Thin
-/// alias of the shared telemetry::jsonl helper (every recorder in the tree
-/// goes through the same validation).
-inline bool valid_metric(double value, bool signed_ok = false) {
-  return spacefts::telemetry::jsonl::valid_metric(value, signed_ok);
-}
-
 /// UTC wall-clock stamp ("2026-02-07T12:34:56Z") for trajectory records.
 inline std::string iso_timestamp_utc() {
   std::tm tm{};
@@ -147,44 +114,6 @@ inline std::string iso_timestamp_utc() {
   char stamp[32];
   std::strftime(stamp, sizeof stamp, "%Y-%m-%dT%H:%M:%SZ", &tm);
   return stamp;
-}
-
-/// Rewrites the JSONL file at \p path so it holds exactly one row per
-/// configuration, then appends \p line (which must end in '\n').  Thin
-/// alias of the shared telemetry::jsonl::upsert_jsonl — every BENCH_*.json
-/// writer in the tree (benches, campaign runner, CLI) goes through that
-/// one implementation, so keyed replacement semantics cannot drift apart.
-inline void upsert_jsonl_record(
-    const std::string& line,
-    const std::function<std::string(std::string_view)>& key_of,
-    const char* path) {
-  (void)spacefts::telemetry::jsonl::upsert_jsonl(line, key_of, path);
-}
-
-/// Records one stack-preprocessing throughput measurement in \p path
-/// (default: BENCH_preprocess.json in the working directory):
-///   {"bench": "stack_preprocess", "pixels_per_s": …, "threads": …,
-///    "upsilon": …, "lambda": …, "kernel": "…", "git_sha": "…",
-///    "iso_timestamp": "…"}
-/// The file holds exactly one line per run configuration — (bench,
-/// threads, upsilon, lambda, kernel) — so re-running a bench replaces its
-/// row instead of accumulating duplicates.  The rewrite also collapses any
-/// duplicate rows already present.
-inline void append_preprocess_record(double pixels_per_s, std::size_t threads,
-                                     std::size_t upsilon, double lambda,
-                                     const char* kernel,
-                                     const char* path = "BENCH_preprocess.json") {
-  namespace jsonl = spacefts::telemetry::jsonl;
-  std::string line = "{\"bench\": \"stack_preprocess\", \"pixels_per_s\": ";
-  jsonl::append_fmt(line, "%.6g", pixels_per_s);
-  line += ", \"threads\": " + std::to_string(threads);
-  line += ", \"upsilon\": " + std::to_string(upsilon);
-  line += ", \"lambda\": ";
-  jsonl::append_fmt(line, "%g", lambda);
-  line += ", \"kernel\": \"" + jsonl::escape(kernel) + "\"";
-  line += ", \"git_sha\": \"" + jsonl::escape(SPACEFTS_GIT_SHA) + "\"";
-  line += ", \"iso_timestamp\": \"" + iso_timestamp_utc() + "\"}\n";
-  upsert_jsonl_record(line, detail::preprocess_record_key, path);
 }
 
 /// Prints a table header: the x-label followed by one column per algorithm.

@@ -23,6 +23,7 @@
 #include "bench_util.hpp"
 #include "spacefts/campaign/drift.hpp"
 #include "spacefts/core/kernel.hpp"
+#include "spacefts/telemetry/jsonl.hpp"
 
 namespace {
 
@@ -31,10 +32,10 @@ using spacefts::campaign::DriftArm;
 
 /// Configuration identity of one BENCH_control.json row — the upsert key.
 std::string control_record_key(std::string_view line) {
-  namespace d = bench::detail;
-  return d::json_field(line, "bench") + "|" + d::json_field(line, "arm") +
-         "|" + d::json_field(line, "shards") + "|" +
-         d::json_field(line, "phase_len");
+  return jsonl::json_field(line, "bench") + "|" +
+         jsonl::json_field(line, "arm") + "|" +
+         jsonl::json_field(line, "shards") + "|" +
+         jsonl::json_field(line, "phase_len");
 }
 
 /// Renders one arm as a trajectory row, or refuses (empty string) when any
@@ -43,11 +44,11 @@ std::string control_record_key(std::string_view line) {
 std::string to_record(const DriftArm& arm, std::size_t phase_len,
                       std::size_t workers, std::size_t shards,
                       std::uint64_t seed) {
-  const bool ok = bench::valid_metric(arm.science, /*signed_ok=*/true) &&
-                  bench::valid_metric(arm.fixed_lambda) &&
-                  bench::valid_metric(arm.virtual_cost_ms_mean) &&
-                  bench::valid_metric(arm.virtual_compliance) &&
-                  bench::valid_metric(arm.p99_e2e_ms);
+  const bool ok = jsonl::valid_metric(arm.science, /*signed_ok=*/true) &&
+                  jsonl::valid_metric(arm.fixed_lambda) &&
+                  jsonl::valid_metric(arm.virtual_cost_ms_mean) &&
+                  jsonl::valid_metric(arm.virtual_compliance) &&
+                  jsonl::valid_metric(arm.p99_e2e_ms);
   if (!ok) {
     std::fprintf(stderr,
                  "control_drift: arm %s has NaN/negative metrics; refusing "
@@ -135,7 +136,10 @@ int main(int argc, char** argv) {
     const std::string row =
         to_record(arm, phase_len, workers, shards, seed);
     if (row.empty()) return 1;
-    bench::upsert_jsonl_record(row, control_record_key, "BENCH_control.json");
+    if (!jsonl::upsert_jsonl(row, control_record_key, "BENCH_control.json")) {
+      std::fprintf(stderr, "control_drift: cannot write BENCH_control.json\n");
+      return 1;
+    }
     ++written;
   }
   std::printf("control_drift: gate passed; wrote %zu rows to "

@@ -1,16 +1,14 @@
 /// \file gate_bench.cpp
-/// Before/after microbench for the plausibility gate's partner median
-/// (DESIGN.md §5 trajectory row "gate_median").
+/// Before/after microbench for the plausibility gate's partner median.
 ///
 /// Satellite measurement for the sorting-network swap (sort_median.hpp):
 /// times the original data-dependent insertion sort against the fixed
 /// compare-exchange networks on the exact workload the gate runs — median
 /// of Υ ∈ {4, 8} gathered partner values per correction candidate — and
-/// records one BENCH_preprocess.json row per (upsilon, impl) via the
-/// shared keyed upsert, so re-runs replace their rows.  Both paths are
-/// checksummed against each other first: a differing median would make the
-/// timing comparison meaningless (and break the gate's bit-identity
-/// contract), so the bench aborts instead of recording.
+/// prints one rate per (upsilon, impl).  Both paths are checksummed against
+/// each other first: a differing median would make the timing comparison
+/// meaningless (and break the gate's bit-identity contract), so the bench
+/// aborts instead of timing.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -18,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "spacefts/common/random.hpp"
 #include "spacefts/core/sort_median.hpp"
 
@@ -40,29 +37,6 @@ std::uint64_t median_pass(const std::vector<std::uint16_t>& partners,
     checksum += scratch[upsilon / 2];
   }
   return checksum;
-}
-
-/// (bench, upsilon, impl) identifies one row; re-running replaces it.
-std::string gate_record_key(std::string_view line) {
-  return bench::detail::json_field(line, "bench") + "|" +
-         bench::detail::json_field(line, "upsilon") + "|" +
-         bench::detail::json_field(line, "impl");
-}
-
-void record(std::size_t upsilon, const char* impl, double medians_per_s) {
-  if (!bench::valid_metric(medians_per_s)) {
-    std::fprintf(stderr, "gate_bench: invalid metric %g, not recording\n",
-                 medians_per_s);
-    std::exit(EXIT_FAILURE);
-  }
-  namespace jsonl = spacefts::telemetry::jsonl;
-  std::string line = "{\"bench\": \"gate_median\", \"medians_per_s\": ";
-  jsonl::append_fmt(line, "%.6g", medians_per_s);
-  line += ", \"upsilon\": " + std::to_string(upsilon);
-  line += ", \"impl\": \"" + jsonl::escape(impl) + "\"";
-  line += ", \"git_sha\": \"" + jsonl::escape(SPACEFTS_GIT_SHA) + "\"";
-  line += ", \"iso_timestamp\": \"" + bench::iso_timestamp_utc() + "\"}\n";
-  bench::upsert_jsonl_record(line, gate_record_key, "BENCH_preprocess.json");
 }
 
 }  // namespace
@@ -97,7 +71,7 @@ int main(int argc, char** argv) {
         median_pass(partners, upsilon, network)) {
       std::fprintf(stderr,
                    "gate_bench: median divergence at upsilon %zu — the "
-                   "network is not bit-identical, refusing to record\n",
+                   "network is not bit-identical, refusing to time\n",
                    upsilon);
       return EXIT_FAILURE;
     }
@@ -123,8 +97,6 @@ int main(int argc, char** argv) {
                 insertion_rate);
     std::printf("%-8zu  %-10s  %16.6g  (x%.2f)\n", upsilon, "network",
                 network_rate, network_rate / insertion_rate);
-    record(upsilon, "insertion", insertion_rate);
-    record(upsilon, "network", network_rate);
   }
   return 0;
 }

@@ -7,7 +7,6 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <chrono>
 #include <string>
 #include <vector>
 
@@ -427,30 +426,6 @@ void BM_MedianBaseline(benchmark::State& state) {
 }
 BENCHMARK(BM_MedianBaseline);
 
-/// Times one full 256x256x8 stack preprocess (best of 5) at the given lane
-/// count / kernel and records the result in BENCH_preprocess.json (one row
-/// per configuration; reruns replace their row).
-void record_stack_throughput(std::size_t threads,
-                             spacefts::core::Kernel kernel) {
-  spacefts::core::AlgoNgstConfig config;
-  config.lambda = 50.0;
-  config.threads = threads;
-  config.kernel = kernel;
-  const spacefts::core::AlgoNgst algo(config);
-  const auto base = corrupted_stack(256, 8);
-  double best = 1e100;
-  for (int r = 0; r < 5; ++r) {
-    auto working = base;
-    const auto t0 = std::chrono::steady_clock::now();
-    (void)algo.preprocess(working);
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-  }
-  bench::append_preprocess_record(256.0 * 256.0 / best, threads,
-                                  config.upsilon, config.lambda,
-                                  spacefts::core::kernel_name(kernel));
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -460,9 +435,5 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  // Trajectory records: every available kernel at 1/4/8 worker lanes.
-  for (const auto kernel : spacefts::core::available_kernels())
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}, std::size_t{8}})
-      record_stack_throughput(threads, kernel);
   return 0;
 }

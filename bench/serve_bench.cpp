@@ -1,24 +1,15 @@
 /// \file serve_bench.cpp
-/// Offered-load and shard-scaling sweeps over the preprocessing service.
+/// Offered-load sweep over the preprocessing service.
 ///
-/// Part 1 (single server): calibrates the mean per-request service time
-/// closed-loop, then replays a real-paced open-loop Poisson workload at
-/// 0.5×, 1× and 2× the measured capacity in pure load-shedding mode.  The
-/// 2× row demonstrates the paper-facing property: past saturation the
-/// server sheds instead of collapsing.
-///
-/// Part 2 (sharded router): sweeps 1 / 4 / 16 shards at 80% of fleet
-/// capacity, plus one chaos row — 4 shards at 2× a single shard's capacity
-/// with one shard killed mid-load — showing throughput scales with shard
-/// count and p99 stays bounded through an ejection + replay cycle.  Because
-/// the service is latency-dominated here (each request carries a constant
-/// service floor injected via the pre_execute hook, modelling per-request
-/// downlink/IO latency), shard concurrency scales even on a single-core
-/// host; compute-bound scaling is BENCH_preprocess.json's job.
+/// Calibrates the mean per-request service time closed-loop, then replays
+/// a real-paced open-loop Poisson workload at 0.5×, 1× and 2× the measured
+/// capacity in pure load-shedding mode.  The 2× row demonstrates the
+/// paper-facing property: past saturation the server sheds instead of
+/// collapsing, and the bench exits 1 when that row sheds nothing.
 ///
 /// Every row upserts into BENCH_serve.json keyed by its configuration
-/// (bench, threads/shards, offered_load, ejected), so re-runs replace rows
-/// instead of accumulating duplicates.
+/// (bench, threads, offered_load), so re-runs replace rows instead of
+/// accumulating duplicates; a failed write exits 1.
 ///
 ///   serve_bench [seed=42] [requests=120] [threads=2]
 #include <algorithm>
@@ -26,15 +17,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "spacefts/common/stats.hpp"
 #include "spacefts/serve/job.hpp"
-#include "spacefts/serve/router.hpp"
 #include "spacefts/serve/server.hpp"
 #include "spacefts/serve/workload.hpp"
+#include "spacefts/telemetry/jsonl.hpp"
 
 namespace {
 
@@ -158,114 +150,12 @@ std::string to_jsonl(const LoadPoint& p, std::size_t threads) {
   return line;
 }
 
-// ---------------------------------------------------------------------------
-// Part 2: shard scaling.
-
-struct ShardPoint {
-  std::size_t shards = 0;
-  double offered_load = 0.0;  ///< multiple of ONE shard's capacity
-  bool ejected = false;       ///< chaos row: one shard killed mid-load
-  LoadPoint load;
-  std::uint64_t replays = 0, ejections = 0, stale = 0;
-};
-
-/// One router run: `offered_load` multiples of a single shard's capacity,
-/// optionally killing shard `shards - 1` a third of the way through.
-ShardPoint run_shard_level(std::size_t shards, double offered_load,
-                           double per_shard_rps, double floor_ms,
-                           std::uint64_t seed, bool kill_one) {
-  ShardPoint point;
-  point.shards = shards;
-  point.offered_load = offered_load;
-  point.ejected = kill_one;
-  point.load.offered_load = offered_load;
-  point.load.offered_rps = offered_load * per_shard_rps;
-
-  const std::size_t requests = std::max<std::size_t>(
-      160, static_cast<std::size_t>(point.load.offered_rps * 1.5));
-  auto spec = base_spec(seed, requests);
-  spec.rate_hz = point.load.offered_rps;
-  spec.streams = shards * 8;  // enough streams that every shard owns some
-  const auto items = ss::generate_workload(spec);
-
-  ss::RouterConfig rc;
-  rc.shards = shards;
-  rc.shard.workers = 1;
-  rc.shard.capacity = 64;
-  rc.shard.max_batch = 1;
-  rc.shard.batch_linger_ms = 0.0;
-  // The latency-dominated service model: a constant per-request floor.
-  rc.shard.pre_execute = [floor_ms](const ss::Request&) {
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::milli>(floor_ms));
-  };
-  ss::Router router(rc);
-  if (kill_one) {
-    router.schedule_kill(shards - 1, requests / 3);
-  }
-
-  const auto start = Clock::now();
-  for (const auto& item : items) {
-    std::this_thread::sleep_until(
-        start + std::chrono::duration_cast<Clock::duration>(
-                    std::chrono::duration<double>(item.arrival_s)));
-    (void)router.submit(item.request);
-  }
-  router.wait_idle();
-  const double wall_s =
-      std::chrono::duration<double>(Clock::now() - start).count();
-  router.drain();
-
-  const auto stats = router.stats();
-  point.load.completed = stats.completed;
-  point.load.shed = stats.shed;
-  point.load.failed = stats.failed;
-  point.load.shed_rate =
-      static_cast<double>(stats.shed) / static_cast<double>(stats.submitted);
-  point.load.throughput_rps =
-      wall_s > 0.0 ? static_cast<double>(stats.completed) / wall_s : 0.0;
-  point.replays = stats.replays;
-  point.ejections = stats.ejections;
-  point.stale = stats.stale_results;
-  fill_latencies(point.load, router.take_results());
-  return point;
-}
-
-std::string to_jsonl(const ShardPoint& p, double speedup_vs_1) {
-  namespace jsonl = spacefts::telemetry::jsonl;
-  std::string line = "{\"bench\": \"serve_shards\", \"shards\": " +
-                     std::to_string(p.shards);
-  jsonl::append_fmt(line, ", \"offered_load\": %g", p.offered_load);
-  line += ", \"ejected\": ";
-  line += p.ejected ? "1" : "0";
-  jsonl::append_fmt(line, ", \"offered_rps\": %.6g", p.load.offered_rps);
-  jsonl::append_fmt(line, ", \"throughput_rps\": %.6g",
-                    p.load.throughput_rps);
-  jsonl::append_fmt(line, ", \"speedup_vs_1\": %.4g", speedup_vs_1);
-  jsonl::append_fmt(line, ", \"p50_ms\": %.6g", p.load.p50_ms);
-  jsonl::append_fmt(line, ", \"p95_ms\": %.6g", p.load.p95_ms);
-  jsonl::append_fmt(line, ", \"p99_ms\": %.6g", p.load.p99_ms);
-  jsonl::append_fmt(line, ", \"shed_rate\": %.6g", p.load.shed_rate);
-  line += ", \"completed\": " + std::to_string(p.load.completed);
-  line += ", \"replays\": " + std::to_string(p.replays);
-  line += ", \"ejections\": " + std::to_string(p.ejections);
-  line += ", \"stale_results\": " + std::to_string(p.stale);
-  line += ", \"kernel\": \"" +
-          std::string(spacefts::core::kernel_name(
-              spacefts::core::resolve_kernel(spacefts::core::Kernel::kAuto))) +
-          "\"";
-  line += ", \"git_sha\": \"" + jsonl::escape(SPACEFTS_GIT_SHA) + "\"";
-  line += ", \"iso_timestamp\": \"" + bench::iso_timestamp_utc() + "\"}\n";
-  return line;
-}
-
 /// Configuration identity of one BENCH_serve.json row — the upsert key.
 std::string serve_record_key(std::string_view line) {
-  namespace d = bench::detail;
-  return d::json_field(line, "bench") + "|" + d::json_field(line, "threads") +
-         "|" + d::json_field(line, "shards") + "|" +
-         d::json_field(line, "offered_load") + "|" +
-         d::json_field(line, "ejected");
+  namespace jsonl = spacefts::telemetry::jsonl;
+  return jsonl::json_field(line, "bench") + "|" +
+         jsonl::json_field(line, "threads") + "|" +
+         jsonl::json_field(line, "offered_load");
 }
 
 }  // namespace
@@ -300,62 +190,17 @@ int main(int argc, char** argv) {
     if (load >= 2.0 && point.shed > 0) overload_shed = true;
   }
 
-  // Shard scaling: floor well above the compute cost so concurrency, not
-  // cores, sets capacity (the single-core CI hosts can still scale it).
-  const double compute_s = calibrate_service_s(seed ^ 0xbeef, 1);
-  const double floor_ms = std::max(2.0, compute_s * 1e3 * 4.0);
-  const double per_shard_rps = 1.0 / (floor_ms / 1e3 + compute_s);
-  std::printf(
-      "serve_bench: shard sweep, service floor %.2f ms"
-      " (%.1f req/s per shard)\n",
-      floor_ms, per_shard_rps);
-  std::printf("%8s %8s %12s %14s %9s %9s %9s\n", "shards", "load", "offered",
-              "throughput", "p99_ms", "replays", "ejected");
-  double throughput_1 = 0.0;
-  bool scaled_4x = false, chaos_bounded = false;
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{4},
-                                   std::size_t{16}}) {
-    const auto point =
-        run_shard_level(shards, 0.8 * static_cast<double>(shards),
-                        per_shard_rps, floor_ms, seed, /*kill_one=*/false);
-    if (shards == 1) throughput_1 = point.load.throughput_rps;
-    const double speedup = throughput_1 > 0.0
-                               ? point.load.throughput_rps / throughput_1
-                               : 0.0;
-    if (shards == 4 && speedup >= 3.0) scaled_4x = true;
-    std::printf("%8zu %8.2g %10.1f/s %12.1f/s %9.3f %9llu %9s\n",
-                point.shards, point.offered_load, point.load.offered_rps,
-                point.load.throughput_rps, point.load.p99_ms,
-                static_cast<unsigned long long>(point.replays), "-");
-    rows.push_back(to_jsonl(point, speedup));
-  }
-  {
-    // Chaos row: 4 shards at 2× one shard's capacity, one shard killed
-    // mid-load.  The surviving fleet still has headroom, so p99 must stay
-    // bounded through the eject/replay cycle.
-    const auto point = run_shard_level(4, 2.0, per_shard_rps, floor_ms, seed,
-                                       /*kill_one=*/true);
-    const double speedup =
-        throughput_1 > 0.0 ? point.load.throughput_rps / throughput_1 : 0.0;
-    chaos_bounded = point.load.p99_ms > 0.0 &&
-                    point.load.p99_ms < 50.0 * floor_ms &&
-                    point.ejections >= 1;
-    std::printf("%8zu %8.2g %10.1f/s %12.1f/s %9.3f %9llu %9llu\n",
-                point.shards, point.offered_load, point.load.offered_rps,
-                point.load.throughput_rps, point.load.p99_ms,
-                static_cast<unsigned long long>(point.replays),
-                static_cast<unsigned long long>(point.ejections));
-    rows.push_back(to_jsonl(point, speedup));
-  }
-
   for (const auto& row : rows) {
-    bench::upsert_jsonl_record(row, serve_record_key, "BENCH_serve.json");
+    if (!spacefts::telemetry::jsonl::upsert_jsonl(row, serve_record_key,
+                                                  "BENCH_serve.json")) {
+      std::fprintf(stderr, "serve_bench: cannot write BENCH_serve.json\n");
+      return 1;
+    }
   }
-  std::printf(
-      "serve_bench: wrote BENCH_serve.json; overload %s, 4-shard speedup"
-      " %s, chaos p99 %s\n",
-      overload_shed ? "shed (expected)" : "did not shed",
-      scaled_4x ? ">= 3x (expected)" : "< 3x",
-      chaos_bounded ? "bounded (expected)" : "unbounded");
+  if (!overload_shed) {
+    std::fprintf(stderr, "serve_bench: the 2x row shed nothing\n");
+    return 1;
+  }
+  std::printf("serve_bench: wrote BENCH_serve.json; overload shed\n");
   return 0;
 }

@@ -6,7 +6,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "spacefts/common/parallel.hpp"
+#include "spacefts/campaign/sweep.hpp"
 #include "spacefts/common/random.hpp"
 #include "spacefts/datagen/ngst.hpp"
 #include "spacefts/ingest/guard.hpp"
@@ -17,9 +17,7 @@
 namespace spacefts::campaign {
 namespace {
 
-/// Everything the aggregator needs from one trial.  Slots are preallocated
-/// and indexed by (cell, trial), so the parallel phase never contends and
-/// the serial aggregation phase sees a thread-count-independent order.
+/// Everything the aggregator needs from one trial.
 struct TrialRecord {
   bool survived = false;
   double coverage = 0.0;
@@ -45,22 +43,10 @@ struct Cell {
 };
 
 void validate(const CampaignConfig& config) {
-  auto check_axis = [](const std::vector<double>& axis, const char* name,
-                       double lo, double hi) {
-    if (axis.empty()) {
-      throw std::invalid_argument(std::string("campaign: empty axis ") + name);
-    }
-    for (double v : axis) {
-      if (!(v >= lo && v <= hi)) {
-        throw std::invalid_argument(std::string("campaign: ") + name +
-                                    " value out of range");
-      }
-    }
-  };
-  check_axis(config.gamma0_grid, "gamma0", 0.0, 1.0);
-  check_axis(config.crash_grid, "crash", 0.0, 1.0);
-  check_axis(config.link_loss_grid, "link_loss", 0.0, 1.0);
-  check_axis(config.lambda_grid, "lambda", 0.0, 100.0);
+  check_axis(config.gamma0_grid, "campaign", "gamma0", 0.0, 1.0);
+  check_axis(config.crash_grid, "campaign", "crash", 0.0, 1.0);
+  check_axis(config.link_loss_grid, "campaign", "link_loss", 0.0, 1.0);
+  check_axis(config.lambda_grid, "campaign", "lambda", 0.0, 100.0);
   if (config.trials == 0) {
     throw std::invalid_argument("campaign: trials must be > 0");
   }
@@ -82,14 +68,6 @@ std::vector<Cell> enumerate_cells(const CampaignConfig& config) {
         for (double lam : config.lambda_grid)
           cells.push_back({g, c, l, lam});
   return cells;
-}
-
-/// Stateless per-trial seed over (campaign seed, cell, trial); the shared
-/// helper guarantees the same trial always replays the same run regardless
-/// of thread count.
-std::uint64_t trial_seed(std::uint64_t seed, std::size_t cell,
-                         std::size_t trial) {
-  return common::derive_stream_seed(seed, cell, trial);
 }
 
 TrialRecord run_trial(const CampaignConfig& config, const Cell& cell,
@@ -168,21 +146,12 @@ using telemetry::jsonl::append_fmt;
 CampaignReport run_campaign(const CampaignConfig& config) {
   validate(config);
   const std::vector<Cell> cells = enumerate_cells(config);
-  const std::size_t total = cells.size() * config.trials;
   SPACEFTS_TSPAN("campaign.run", {"cells", static_cast<double>(cells.size())},
                  {"trials", static_cast<double>(config.trials)});
-  std::vector<TrialRecord> records(total);
-
-  const std::size_t lanes = common::parallel::resolve_threads(config.threads);
-  common::parallel::parallel_for(
-      total, 1, lanes,
-      [&](std::size_t begin, std::size_t end, std::size_t /*lane*/) {
-        for (std::size_t i = begin; i < end; ++i) {
-          const std::size_t cell = i / config.trials;
-          const std::size_t trial = i % config.trials;
-          records[i] = run_trial(config, cells[cell],
-                                 trial_seed(config.seed, cell, trial));
-        }
+  const std::vector<TrialRecord> records = run_trials<TrialRecord>(
+      cells.size(), config.trials, config.seed, config.threads,
+      [&](std::size_t cell, std::size_t /*trial*/, std::uint64_t seed) {
+        return run_trial(config, cells[cell], seed);
       });
 
   CampaignReport report;

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "spacefts/backend/backend.hpp"
+#include "spacefts/campaign/sweep.hpp"
 #include "spacefts/common/random.hpp"
 #include "spacefts/core/algo_ngst.hpp"
 #include "spacefts/datagen/ngst.hpp"
@@ -25,19 +26,9 @@ enum SweepStream : std::uint64_t {
 };
 
 void validate(const ComputeSweepConfig& config) {
-  if (config.fault_rate_grid.empty() || config.shadow_rate_grid.empty()) {
-    throw std::invalid_argument("compute_sweep: empty grid axis");
-  }
-  for (const double f : config.fault_rate_grid) {
-    if (!(f >= 0.0 && f <= 1.0)) {
-      throw std::invalid_argument("compute_sweep: fault_rate outside [0, 1]");
-    }
-  }
-  for (const double s : config.shadow_rate_grid) {
-    if (!(s >= 0.0 && s <= 1.0)) {
-      throw std::invalid_argument("compute_sweep: shadow_rate outside [0, 1]");
-    }
-  }
+  check_axis(config.fault_rate_grid, "compute_sweep", "fault_rate", 0.0, 1.0);
+  check_axis(config.shadow_rate_grid, "compute_sweep", "shadow_rate", 0.0,
+             1.0);
   if (config.requests == 0) {
     throw std::invalid_argument("compute_sweep: requests must be > 0");
   }
@@ -45,11 +36,6 @@ void validate(const ComputeSweepConfig& config) {
     throw std::invalid_argument(
         "compute_sweep: need side > 0 and >= 3 frames");
   }
-}
-
-bool same_bytes(const common::TemporalStack<std::uint16_t>& a,
-                const common::TemporalStack<std::uint16_t>& b) {
-  return a == b;
 }
 
 }  // namespace
@@ -74,58 +60,63 @@ ComputeSweepReport run_compute_sweep(const ComputeSweepConfig& config) {
   fault_base.seed = common::derive_stream_seed(config.seed, kStreamFaults, 0);
   fault_base.stall_ms = 2.0;  // keep the loud-fault leg CI-fast
 
+  // The request batch is the trial: one per cell, on one lane (the sweep
+  // has no thread budget).  Each cell draws from the fixed sub-streams
+  // above, not from the engine's per-trial seed.
+  const std::size_t shadows = config.shadow_rate_grid.size();
   ComputeSweepReport report;
-  for (const double fault_rate : config.fault_rate_grid) {
-    for (const double shadow_rate : config.shadow_rate_grid) {
-      ComputeCellResult cell;
-      cell.fault_rate = fault_rate;
-      cell.shadow_rate = shadow_rate;
-      cell.requests = config.requests;
+  report.cells = run_trials<ComputeCellResult>(
+      config.fault_rate_grid.size() * shadows, 1, config.seed, 1,
+      [&](std::size_t c, std::size_t /*trial*/, std::uint64_t /*seed*/) {
+        ComputeCellResult cell;
+        cell.fault_rate = config.fault_rate_grid[c / shadows];
+        cell.shadow_rate = config.shadow_rate_grid[c % shadows];
+        cell.requests = config.requests;
 
-      auto cpu = std::make_shared<backend::CpuBackend>();
-      fault::ComputeFaultConfig fc = fault_base;
-      fc.fault_rate = fault_rate;
-      auto unreliable = std::make_shared<backend::UnreliableBackend>(cpu, fc);
-      backend::ShadowConfig sc;
-      sc.shadow_rate = shadow_rate;
-      sc.seed = common::derive_stream_seed(config.seed, kStreamShadow, 0);
-      auto shadowed =
-          std::make_shared<backend::ShadowBackend>(unreliable, cpu, sc);
+        auto cpu = std::make_shared<backend::CpuBackend>();
+        fault::ComputeFaultConfig fc = fault_base;
+        fc.fault_rate = cell.fault_rate;
+        auto unreliable =
+            std::make_shared<backend::UnreliableBackend>(cpu, fc);
+        backend::ShadowConfig sc;
+        sc.shadow_rate = cell.shadow_rate;
+        sc.seed = common::derive_stream_seed(config.seed, kStreamShadow, 0);
+        auto shadowed =
+            std::make_shared<backend::ShadowBackend>(unreliable, cpu, sc);
 
-      for (std::size_t r = 0; r < config.requests; ++r) {
-        datagen::NgstSimulator sim(
-            common::derive_stream_seed(config.seed, kStreamDataset, r));
-        const auto pristine = sim.stack(config.frames, scene);
-        const backend::ComputeMeta meta{r, 0};
+        for (std::size_t r = 0; r < config.requests; ++r) {
+          datagen::NgstSimulator sim(
+              common::derive_stream_seed(config.seed, kStreamDataset, r));
+          const auto pristine = sim.stack(config.frames, scene);
+          const backend::ComputeMeta meta{r, 0};
 
-        // Ground truth: the trusted substrate.
-        auto trusted = pristine;
-        (void)cpu->preprocess(trusted, algo, meta, nullptr);
+          // Ground truth: the trusted substrate.
+          auto trusted = pristine;
+          (void)cpu->preprocess(trusted, algo, meta, nullptr);
 
-        // The bare unreliable primary: did this request's plan actually
-        // corrupt the product?  (Sampling-independent, so "injected" means
-        // the same thing on every shadow rate.)
-        auto bare = pristine;
-        backend::ComputeOutcome bare_outcome;
-        (void)unreliable->preprocess(bare, algo, meta, &bare_outcome);
-        const bool injected = !same_bytes(bare, trusted);
-        cell.injected += injected ? 1 : 0;
-        cell.stalls +=
-            bare_outcome.fault == fault::ComputeFaultKind::kStall ? 1 : 0;
+          // The bare unreliable primary: did this request's plan actually
+          // corrupt the product?  (Sampling-independent, so "injected"
+          // means the same thing on every shadow rate.)
+          auto bare = pristine;
+          backend::ComputeOutcome bare_outcome;
+          (void)unreliable->preprocess(bare, algo, meta, &bare_outcome);
+          const bool injected = bare != trusted;
+          cell.injected += injected ? 1 : 0;
+          cell.stalls +=
+              bare_outcome.fault == fault::ComputeFaultKind::kStall ? 1 : 0;
 
-        // The production path: unreliable primary under the shadow guard.
-        auto served = pristine;
-        backend::ComputeOutcome outcome;
-        (void)shadowed->preprocess(served, algo, meta, &outcome);
-        cell.detected += outcome.shadow_mismatch ? 1 : 0;
-        cell.escaped += same_bytes(served, trusted) ? 0 : 1;
-      }
-      cell.quarantined = shadowed->health().quarantined;
-      telemetry::counter("campaign.compute.injected").add(cell.injected);
-      telemetry::counter("campaign.compute.escaped").add(cell.escaped);
-      report.cells.push_back(cell);
-    }
-  }
+          // The production path: unreliable primary under the shadow guard.
+          auto served = pristine;
+          backend::ComputeOutcome outcome;
+          (void)shadowed->preprocess(served, algo, meta, &outcome);
+          cell.detected += outcome.shadow_mismatch ? 1 : 0;
+          cell.escaped += served == trusted ? 0 : 1;
+        }
+        cell.quarantined = shadowed->health().quarantined;
+        telemetry::counter("campaign.compute.injected").add(cell.injected);
+        telemetry::counter("campaign.compute.escaped").add(cell.escaped);
+        return cell;
+      });
   return report;
 }
 

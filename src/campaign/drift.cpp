@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "spacefts/campaign/sweep.hpp"
 #include "spacefts/common/random.hpp"
 #include "spacefts/control/bank.hpp"
 #include "spacefts/metrics/aggregate.hpp"
@@ -33,14 +34,7 @@ void validate(const DriftConfig& cfg) {
       throw std::invalid_argument("drift: phase gamma0 outside [0, 1]");
     }
   }
-  if (cfg.lambda_grid.empty()) {
-    throw std::invalid_argument("drift: lambda_grid must not be empty");
-  }
-  for (const double lambda : cfg.lambda_grid) {
-    if (!(lambda >= 0.0 && lambda <= 100.0)) {
-      throw std::invalid_argument("drift: fixed lambda outside [0, 100]");
-    }
-  }
+  check_axis(cfg.lambda_grid, "drift", "lambda", 0.0, 100.0);
   if (cfg.workers == 0) {
     throw std::invalid_argument(
         "drift: workers must be > 0 (the admission gate needs a running "

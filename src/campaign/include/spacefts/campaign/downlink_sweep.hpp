@@ -76,7 +76,9 @@ struct DownlinkSweepReport {
 };
 
 /// Runs the sweep.  \throws std::invalid_argument for an empty grid axis,
-/// zero trials, or a chain shape run_chain would reject.
+/// a Γ₀ or link-loss value outside [0, 1] or a Λ outside [0, 100] (NaN
+/// included), all before any flight; zero trials; or a chain shape
+/// run_chain would reject.
 [[nodiscard]] DownlinkSweepReport run_downlink_sweep(
     const DownlinkSweepConfig& config);
 

@@ -1,9 +1,12 @@
 // Tests for the fault-injection campaign harness — grid sweep determinism,
-// termination under link loss, degraded completion, and the CRC framing
-// sweep that underpins the link-level detection claim.
+// termination under link loss, degraded completion, the CRC framing sweep
+// that underpins the link-level detection claim, the shared trial engine,
+// and byte-for-byte replay of the committed BENCH_campaign.json rows.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -11,6 +14,7 @@
 #include "spacefts/campaign/campaign.hpp"
 #include "spacefts/campaign/compute_sweep.hpp"
 #include "spacefts/campaign/downlink_sweep.hpp"
+#include "spacefts/campaign/sweep.hpp"
 #include "spacefts/common/random.hpp"
 #include "spacefts/edac/crc32.hpp"
 #include "spacefts/fault/message_faults.hpp"
@@ -20,7 +24,24 @@ namespace se = spacefts::edac;
 namespace sf = spacefts::fault;
 using spacefts::common::Rng;
 
+#ifndef SPACEFTS_BENCH_CAMPAIGN_PATH
+#error "SPACEFTS_BENCH_CAMPAIGN_PATH must point at the committed BENCH_campaign.json"
+#endif
+
 namespace {
+
+/// The committed BENCH_campaign.json rows of one bench, in file order.
+std::string committed_rows(const std::string& bench) {
+  std::ifstream in(SPACEFTS_BENCH_CAMPAIGN_PATH);
+  EXPECT_TRUE(in) << SPACEFTS_BENCH_CAMPAIGN_PATH;
+  const std::string tag = "\"bench\":\"" + bench + "\"";
+  std::string rows;
+  for (std::string line; std::getline(in, line);) {
+    if (line.find(tag) != std::string::npos) rows += line + "\n";
+  }
+  EXPECT_FALSE(rows.empty()) << "no committed " << bench << " rows";
+  return rows;
+}
 
 /// A grid small enough for unit-test latency but exercising every fault
 /// dimension at once.
@@ -81,6 +102,18 @@ TEST(Campaign, JsonIsBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial, maximal);
   EXPECT_NE(serial.find("\"bench\":\"fault_campaign\",\"sampler\":\"geometric\""),
             std::string::npos);
+}
+
+// The default grid (seed 42, 3 trials) is what BENCH_campaign.json
+// records; every committed row must replay byte for byte.
+TEST(Campaign, DefaultGridReproducesCommittedRows) {
+  const std::string committed = committed_rows("fault_campaign");
+  sc::CampaignConfig config;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    config.threads = threads;
+    EXPECT_EQ(sc::to_jsonl(sc::run_campaign(config)), committed)
+        << "threads " << threads;
+  }
 }
 
 TEST(Campaign, DifferentSeedsDiverge) {
@@ -244,6 +277,11 @@ TEST(ComputeSweep, RowKeySeparatesComputeAndClassicCampaignRows) {
             sc::campaign_row_key(compute_row));
 }
 
+TEST(ComputeSweep, DefaultGridReproducesCommittedRows) {
+  EXPECT_EQ(sc::to_jsonl(sc::run_compute_sweep({})),
+            committed_rows("compute_shadow"));
+}
+
 TEST(ComputeSweep, RejectsMalformedGrids) {
   sc::ComputeSweepConfig config;
   config.fault_rate_grid = {};
@@ -306,6 +344,11 @@ TEST(DownlinkSweep, JsonlIsByteStableAcrossThreadCounts) {
   EXPECT_NE(serial.find("\"workload\":\"telemetry\""), std::string::npos);
 }
 
+TEST(DownlinkSweep, DefaultGridReproducesCommittedRows) {
+  EXPECT_EQ(sc::to_jsonl(sc::run_downlink_sweep({})),
+            committed_rows("downlink_fidelity"));
+}
+
 TEST(DownlinkSweep, RowKeySeparatesWorkloadsAndOtherBenches) {
   const std::string ngst_row =
       "{\"bench\":\"downlink_fidelity\",\"workload\":\"ngst\","
@@ -339,4 +382,60 @@ TEST(DownlinkSweep, RejectsMalformedGrids) {
   config = small_downlink_sweep();
   config.gamma0_grid = {2.0};
   EXPECT_THROW((void)sc::run_downlink_sweep(config), std::invalid_argument);
+  config = small_downlink_sweep();
+  config.lambda_grid = {150.0};
+  EXPECT_THROW((void)sc::run_downlink_sweep(config), std::invalid_argument);
+  config = small_downlink_sweep();
+  config.lambda_grid = {80.0, std::nan("")};
+  EXPECT_THROW((void)sc::run_downlink_sweep(config), std::invalid_argument);
+}
+
+// ------------------------------------------------------------ trial engine ---
+
+namespace {
+
+struct EngineRecord {
+  std::size_t cell = 0;
+  std::size_t trial = 0;
+  std::uint64_t seed = 0;
+  bool operator==(const EngineRecord&) const = default;
+};
+
+std::vector<EngineRecord> engine_records(std::size_t threads) {
+  return sc::run_trials<EngineRecord>(
+      5, 3, 42, threads,
+      [](std::size_t cell, std::size_t trial, std::uint64_t seed) {
+        return EngineRecord{cell, trial, seed};
+      });
+}
+
+}  // namespace
+
+TEST(TrialEngine, RecordsAndSeedsAreLaneCountIndependent) {
+  const auto serial = engine_records(1);
+  ASSERT_EQ(serial.size(), 15u);
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(serial[i].cell, i / 3);
+    EXPECT_EQ(serial[i].trial, i % 3);
+    EXPECT_EQ(serial[i].seed, spacefts::common::derive_stream_seed(
+                                  42, serial[i].cell, serial[i].trial));
+  }
+  EXPECT_EQ(engine_records(3), serial);
+  EXPECT_EQ(engine_records(8), serial);
+}
+
+TEST(TrialEngine, TrialExceptionReachesCaller) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    EXPECT_THROW(
+        (void)sc::run_trials<int>(
+            4, 2, 7, threads,
+            [](std::size_t cell, std::size_t trial, std::uint64_t) {
+              if (cell == 2 && trial == 1) {
+                throw std::runtime_error("trial failed");
+              }
+              return 0;
+            }),
+        std::runtime_error)
+        << "threads " << threads;
+  }
 }

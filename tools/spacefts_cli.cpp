@@ -1047,6 +1047,13 @@ int cmd_campaign(const Args& args) {
   if (args.has("--no-retries")) config.max_link_retries = 0;
   arm_telemetry(args);
   const auto report = camp::run_campaign(config);
+  std::printf("%8s %8s %10s %9s %9s %9s %9s\n", "gamma0", "crash",
+              "link_loss", "survived", "min_cov", "corr", "makespan");
+  for (const auto& c : report.cells) {
+    std::printf("%8.4g %8.4g %10.4g %6zu/%-2zu %9.4f %9.4f %9.6f\n", c.gamma0,
+                c.crash_prob, c.link_loss, c.survived, c.trials,
+                c.min_coverage, c.correction_rate, c.mean_makespan_s);
+  }
   return finish_campaign(
       args, out_path, report,
       std::to_string(report.cells.size()) + " cells, " +
