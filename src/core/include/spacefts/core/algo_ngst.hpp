@@ -54,10 +54,9 @@ struct AlgoNgstConfig {
   /// against a naive scalar oracle.
   std::size_t threads = 1;
   /// Compute kernel for the stack hot path (kernel.hpp): kAuto resolves to
-  /// the widest kernel this host supports; kScalar forces the per-series
-  /// reference implementation.  Every kernel produces bit-identical output
-  /// at every thread count.  The per-series entry points always run the
-  /// scalar reference.
+  /// the widest kernel this host supports; kSwar forces the portable one.
+  /// Every kernel produces bit-identical output at every thread count.  The
+  /// per-series entry points always run the per-series voter.
   Kernel kernel = Kernel::kAuto;
 };
 
@@ -70,8 +69,7 @@ struct NgstScratch {
   std::vector<std::uint16_t> sort_buf;   ///< nth_element workspace
   std::vector<std::uint16_t> voters;     ///< surviving voters of one pixel
   std::vector<std::uint16_t> partners;   ///< plausibility-gate neighbours
-  std::vector<std::uint16_t> tile;       ///< coordinate-major gather buffer
-  /// Structure-of-arrays buffers for the vector kernels (kSwar/kAvx2):
+  /// Structure-of-arrays buffers for the stack kernels (kSwar/kAvx2):
   /// frame-major tiles padded to a whole number of lane groups, 32-byte
   /// aligned so lane-group loads never split a cache line.
   common::AlignedVector<std::uint16_t> soa;       ///< frame-major tile
@@ -122,8 +120,8 @@ class AlgoNgst {
   /// Preprocesses every coordinate of a temporal stack.
   ///
   /// Hot path: coordinates are processed in tile blocks — a tile of (x, y)
-  /// series is transposed into contiguous per-lane scratch, preprocessed
-  /// there, and scattered back — and rows are distributed over
+  /// series is gathered frame-major into per-lane scratch, voted there by
+  /// the config's kernel, and scattered back — and rows are distributed over
   /// `config().threads` lanes.  The steady-state path performs zero heap
   /// allocations per pixel, and the output (pixels and report counters) is
   /// bit-identical for every thread count, including 1.

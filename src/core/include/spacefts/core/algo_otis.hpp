@@ -61,8 +61,8 @@ struct AlgoOtisConfig {
   /// scalar oracle.
   std::size_t threads = 1;
   /// Compute kernel for the plane voting pass (kernel.hpp): kAuto resolves
-  /// to the widest kernel this host supports; kScalar forces the reference
-  /// implementation.  Output is bit-identical for every choice.  The
+  /// to the widest kernel this host supports; kSwar forces the portable
+  /// one.  Output is bit-identical for every choice.  The
   /// spectral (per-pixel wavelength-axis) pass always runs the reference.
   Kernel kernel = Kernel::kAuto;
 };

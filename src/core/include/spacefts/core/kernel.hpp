@@ -5,18 +5,17 @@
 /// spatial voting pass are pure bitwise arithmetic over 16- and 32-bit
 /// words, so they admit data-parallel implementations of graded width:
 ///
-///   kScalar  the original per-series reference implementation — the code
-///            the golden oracles were written against, kept verbatim;
 ///   kSwar    portable SIMD-within-a-register over std::uint64_t (4 x u16
 ///            or 2 x u32 lanes per word), no ISA requirements;
 ///   kAvx2    256-bit AVX2 intrinsics (16 x u16 or 8 x u32 lanes), only
 ///            compiled when SPACEFTS_SIMD=ON and only selected when the
 ///            host CPU reports AVX2.
 ///
-/// Every kernel is specified to produce *bit-identical* output to kScalar —
+/// Every kernel is specified to produce *bit-identical* output to the naive
+/// golden oracles (check::oracle_ngst_stack, check::oracle_otis_plane) —
 /// data, report counters, and window masks alike, at every thread count.
 /// The differential harness (src/check) enforces the contract by
-/// cross-comparing all available kernels against the naive golden oracle;
+/// cross-comparing all available kernels against the oracles;
 /// tests/kernel_test.cpp byte-compares them directly.
 ///
 /// Selection: configs default to kAuto, which resolves at runtime (CPUID)
@@ -30,15 +29,15 @@
 
 namespace spacefts::core {
 
-/// A voter-kernel variant.  Numeric values are stable (telemetry tags).
+/// A voter-kernel variant.  Numeric values are stable (telemetry tags); 1
+/// belonged to the retired per-series kernel and is not reused.
 enum class Kernel : std::uint8_t {
-  kAuto = 0,    ///< resolve to the widest available kernel at runtime
-  kScalar = 1,  ///< per-series reference implementation
-  kSwar = 2,    ///< portable 64-bit SIMD-within-a-register
-  kAvx2 = 3,    ///< AVX2 intrinsics (requires CPU + build support)
+  kAuto = 0,  ///< resolve to the widest available kernel at runtime
+  kSwar = 2,  ///< portable 64-bit SIMD-within-a-register
+  kAvx2 = 3,  ///< AVX2 intrinsics (requires CPU + build support)
 };
 
-/// Stable lowercase name ("auto", "scalar", "swar", "avx2").  The returned
+/// Stable lowercase name ("auto", "swar", "avx2").  The returned
 /// pointer is a string literal (safe to hand to the telemetry registry).
 [[nodiscard]] const char* kernel_name(Kernel kernel) noexcept;
 
@@ -46,7 +45,7 @@ enum class Kernel : std::uint8_t {
 [[nodiscard]] bool parse_kernel(std::string_view text, Kernel& out) noexcept;
 
 /// True when \p kernel can execute on this host with this build:
-/// kScalar/kSwar always; kAvx2 only when compiled in (SPACEFTS_SIMD=ON)
+/// kSwar always; kAvx2 only when compiled in (SPACEFTS_SIMD=ON)
 /// *and* the CPU reports AVX2.  kAuto is always available (it resolves).
 [[nodiscard]] bool kernel_available(Kernel kernel) noexcept;
 
@@ -57,7 +56,7 @@ enum class Kernel : std::uint8_t {
 [[nodiscard]] Kernel resolve_kernel(Kernel requested) noexcept;
 
 /// Every concrete kernel available on this host, widest last
-/// ({kScalar, kSwar[, kAvx2]}).  The cross-kernel differential harness and
+/// ({kSwar[, kAvx2]}).  The cross-kernel differential harness and
 /// the bench sweeps iterate this.
 [[nodiscard]] std::vector<Kernel> available_kernels();
 

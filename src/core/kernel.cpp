@@ -18,8 +18,6 @@ const char* kernel_name(Kernel kernel) noexcept {
   switch (kernel) {
     case Kernel::kAuto:
       return "auto";
-    case Kernel::kScalar:
-      return "scalar";
     case Kernel::kSwar:
       return "swar";
     case Kernel::kAvx2:
@@ -31,8 +29,6 @@ const char* kernel_name(Kernel kernel) noexcept {
 bool parse_kernel(std::string_view text, Kernel& out) noexcept {
   if (text == "auto") {
     out = Kernel::kAuto;
-  } else if (text == "scalar") {
-    out = Kernel::kScalar;
   } else if (text == "swar") {
     out = Kernel::kSwar;
   } else if (text == "avx2") {
@@ -46,7 +42,6 @@ bool parse_kernel(std::string_view text, Kernel& out) noexcept {
 bool kernel_available(Kernel kernel) noexcept {
   switch (kernel) {
     case Kernel::kAuto:
-    case Kernel::kScalar:
     case Kernel::kSwar:
       return true;
     case Kernel::kAvx2:
@@ -64,7 +59,7 @@ Kernel resolve_kernel(Kernel requested) noexcept {
 }
 
 std::vector<Kernel> available_kernels() {
-  std::vector<Kernel> kernels{Kernel::kScalar, Kernel::kSwar};
+  std::vector<Kernel> kernels{Kernel::kSwar};
   if (host_has_avx2()) kernels.push_back(Kernel::kAvx2);
   return kernels;
 }

@@ -64,8 +64,9 @@ struct OtisPhase23Ctx {
   std::size_t lanes = 1;  ///< resolved worker lanes for the row partition
 };
 
-/// Appends bit_corrected / median_replaced to \p report.  Bit-identical to
-/// the scalar phases 2 + 3 at every lane count.
+/// Phases 2 + 3 of the plane pass (thresholds + vote).  Appends
+/// bit_corrected / median_replaced to \p report.  Bit-identical to
+/// check::oracle_otis_plane at every lane count.
 void otis_phase23_swar(const OtisPhase23Ctx& ctx, AlgoOtisReport& report);
 #if defined(SPACEFTS_HAVE_AVX2)
 void otis_phase23_avx2(const OtisPhase23Ctx& ctx, AlgoOtisReport& report);

@@ -4,14 +4,15 @@
 /// Avx2Ops in kernel_avx2.cpp).  Internal header — include only from those
 /// TUs.
 ///
-/// # Bit-identity to the scalar reference
+/// # Bit-identity to the golden oracles
 ///
-/// Every stage either performs the same integer arithmetic as the scalar
-/// code in a different order (XOR/AND/OR are associative and commutative;
-/// the unanimous-AND and the GRT leave-one-out vote are symmetric functions
-/// of the voter multiset), or substitutes a provably equivalent algorithm:
+/// Every stage either performs the same integer arithmetic as the oracles
+/// (src/check/oracle.cpp) in a different order (XOR/AND/OR are associative
+/// and commutative; the unanimous-AND and the GRT leave-one-out vote are
+/// symmetric functions of the voter multiset), or substitutes a provably
+/// equivalent algorithm:
 ///
-/// * **Threshold selection.**  The scalar path computes
+/// * **Threshold selection.**  The oracle computes
 ///   `q = nth_element(xors, rank)` and `v_val = q == 0 ? 0 : ceil_pow2(q)`.
 ///   The composed map x -> (x == 0 ? 0 : ceil_pow2(x)) is monotone
 ///   non-decreasing, so it commutes with order statistics:
@@ -267,7 +268,7 @@ struct OtisWay {
 
 /// Phase 2: dynamic thresholds from clean pairs, via the exact histogram
 /// selection.  Returns have_thresholds (false when any way has fewer than 8
-/// clean pairs, same bail-out and way order as the scalar reference).
+/// clean pairs, same bail-out and way order as the golden oracle).
 [[nodiscard]] inline bool otis_thresholds(const common::Image<float>& plane,
                                           const common::Image<std::uint8_t>& state,
                                           const AlgoOtisConfig& cfg,
@@ -325,8 +326,8 @@ struct OtisWay {
   return have;
 }
 
-/// Scalar correction vector for one pixel — the reference voter loop
-/// verbatim; used for the edge columns the vector path cannot load safely.
+/// Scalar correction vector for one pixel — the oracle's voter loop; used
+/// for the edge columns the vector path cannot load safely.
 [[nodiscard]] inline std::uint32_t otis_corr_scalar(
     const common::Image<float>& source, const common::Image<std::uint8_t>& state,
     const std::vector<OtisWay>& ways, std::size_t x, std::size_t y,

@@ -12,7 +12,6 @@
 /// These helpers are always available regardless of `SPACEFTS_TELEMETRY`.
 #pragma once
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -110,15 +109,6 @@ inline void append_fmt(std::string& out, const char* format, double value) {
   }
   while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
   return std::string(line.substr(begin, end - begin));
-}
-
-/// Hygiene guard for values destined for a BENCH_*.json row: a NaN or (for
-/// inherently non-negative metrics) negative reading means the harness is
-/// broken, and silently committing it would poison every downstream
-/// comparison — recorders must refuse the whole row instead.  Pass
-/// signed_ok for metrics that are legitimately signed differences.
-[[nodiscard]] inline bool valid_metric(double value, bool signed_ok = false) {
-  return std::isfinite(value) && (signed_ok || value >= 0.0);
 }
 
 /// Rewrites the JSONL file at \p path so it holds exactly one row per

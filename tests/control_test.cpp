@@ -5,7 +5,10 @@
 // determinism and acceptance gate.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "spacefts/campaign/drift.hpp"
@@ -13,6 +16,10 @@
 #include "spacefts/control/controller.hpp"
 #include "spacefts/core/sensitivity.hpp"
 #include "spacefts/serve/request.hpp"
+
+#ifndef SPACEFTS_BENCH_CONTROL_PATH
+#error "SPACEFTS_BENCH_CONTROL_PATH must point at the committed BENCH_control.json"
+#endif
 
 namespace sc = spacefts::control;
 namespace ss = spacefts::serve;
@@ -357,4 +364,16 @@ TEST(ControlDrift, EnforceFlagsIncompleteAndBeatenArms) {
   report.arms = {adaptive, fixed};
   diagnostics.clear();
   EXPECT_EQ(spacefts::campaign::enforce_drift(report, diagnostics), 0u);
+}
+
+// The committed artifact is the exact output of
+// `spacefts_cli campaign --control --seed 42 --threads 1`: pin it, so a
+// change to anything the drift sweep runs cannot drift the rows unnoticed.
+TEST(Drift, DefaultScheduleReproducesCommittedRows) {
+  std::ifstream in(SPACEFTS_BENCH_CONTROL_PATH);
+  ASSERT_TRUE(in) << SPACEFTS_BENCH_CONTROL_PATH;
+  std::ostringstream committed;
+  committed << in.rdbuf();
+  EXPECT_EQ(spacefts::campaign::to_jsonl(spacefts::campaign::run_drift({})),
+            committed.str());
 }

@@ -42,6 +42,7 @@
 #include "spacefts/control/bank.hpp"
 #include "spacefts/control/controller.hpp"
 #include "spacefts/check/differential.hpp"
+#include "spacefts/common/parallel.hpp"
 #include "spacefts/core/algo_ngst.hpp"
 #include "spacefts/core/kernel.hpp"
 #include "spacefts/datagen/ngst.hpp"
@@ -384,7 +385,7 @@ const std::vector<Flag> kBackendFlags = {
     {"--shadow-rate", Kind::kDouble, "X", 0.0, 1.0},
     {"--backend-log", Kind::kOutPath, "file"},
 };
-const Flag kKernelFlag{"--kernel", Kind::kChoice, "auto|scalar|swar|avx2"};
+const Flag kKernelFlag{"--kernel", Kind::kChoice, "auto|swar|avx2"};
 
 std::vector<Flag> rows(std::initializer_list<std::vector<Flag>> groups) {
   std::vector<Flag> all;
@@ -891,9 +892,10 @@ int cmd_downlink(const Args& args) {
   return 0;
 }
 
-/// The tail every campaign mode shares: write the report's JSONL rows,
-/// print the summary line, write the telemetry artifacts, then run the
-/// --enforce gate.
+/// The tail every campaign mode shares: run the --enforce gate, then write
+/// the report's JSONL rows, print the summary line and write the telemetry
+/// artifacts.  A gate violation writes no rows, so a failing run can never
+/// replace the committed artifact it failed to reproduce.
 template <typename Report>
 int finish_campaign(const Args& args, const std::string& path,
                     const Report& report, const std::string& summary) {
@@ -901,15 +903,8 @@ int finish_campaign(const Args& args, const std::string& path,
   // The drift report is a byte-comparable artifact, so it replaces the
   // file; every other sweep upserts its keyed rows into a shared file.
   constexpr bool kDrift = std::is_same_v<Report, camp::DriftReport>;
-  const std::string rows = camp::to_jsonl(report);
-  if (kDrift ? !write_text("campaign", path, rows)
-             : !spacefts::telemetry::jsonl::upsert_jsonl(
-                   rows, camp::campaign_row_key, path)) {
-    return kExitFailure;
-  }
-  std::printf("campaign: %s %s\n", summary.c_str(), path.c_str());
-  const int telem_rc = finish_telemetry(args);
-  if (args.has("--enforce")) {
+  const bool enforce = args.has("--enforce");
+  if (enforce) {
     std::string diagnostics;
     std::size_t violations = 0;
     if constexpr (kDrift) {
@@ -918,13 +913,21 @@ int finish_campaign(const Args& args, const std::string& path,
       violations = camp::enforce(report, diagnostics);
     }
     if (violations > 0) {
-      std::fprintf(stderr, "campaign enforce: %zu violation(s)\n%s",
-                   violations, diagnostics.c_str());
+      std::fprintf(stderr,
+                   "campaign enforce: %zu violation(s); %s not written\n%s",
+                   violations, path.c_str(), diagnostics.c_str());
       return kExitFailure;
     }
-    std::printf("campaign enforce: pass\n");
   }
-  return telem_rc;
+  const std::string rows = camp::to_jsonl(report);
+  if (kDrift ? !write_text("campaign", path, rows)
+             : !spacefts::telemetry::jsonl::upsert_jsonl(
+                   rows, camp::campaign_row_key, path)) {
+    return kExitFailure;
+  }
+  std::printf("campaign: %s %s\n", summary.c_str(), path.c_str());
+  if (enforce) std::printf("campaign enforce: pass\n");
+  return finish_telemetry(args);
 }
 
 int cmd_campaign(const Args& args) {
@@ -1007,9 +1010,10 @@ int cmd_campaign(const Args& args) {
     args.get("--seed", dc.seed);
     // --threads means serve worker threads here (the determinism axis the
     // control-smoke CI job sweeps); the classic grid uses it for trials.
+    // 0 is one worker per hardware thread, as in every other mode.
     std::size_t threads = 1;
     args.get("--threads", threads);
-    dc.workers = threads > 0 ? threads : 2;
+    dc.workers = spacefts::common::parallel::resolve_threads(threads);
     args.get("--shards", dc.shards);
     args.get("--shard-kill", dc.shard_kills);
     if (const int rc = check_shard_kills(dc.shard_kills, dc.shards)) return rc;
@@ -1028,7 +1032,7 @@ int cmd_campaign(const Args& args) {
           arm.virtual_cost_ms_mean, arm.virtual_compliance, arm.decisions,
           arm.raises, arm.relaxes, arm.sheds);
     }
-    return finish_campaign(args, args.text("--out", "control_drift.jsonl"),
+    return finish_campaign(args, args.text("--out", "BENCH_control.json"),
                            report,
                            "controller sweep, " +
                                std::to_string(report.arms.size()) +
@@ -1433,7 +1437,7 @@ const std::vector<Verb>& verbs() {
              kTelemetryFlags}),
        cmd_campaign,
        "  sweep a seeded fault grid over the distributed pipeline into --out\n"
-       "  (default BENCH_campaign.json; control_drift.jsonl under --control);\n"
+       "  (default BENCH_campaign.json; BENCH_control.json under --control);\n"
        "  --control races the adaptive controller over drifting gamma0,\n"
        "  --compute sweeps compute faults x shadow rates, --downlink sweeps\n"
        "  fidelity with preprocessing on vs off; --enforce gates each claim\n"},
