@@ -10,7 +10,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <ctime>
 #include <functional>
 #include <string>
 #include <vector>
@@ -98,22 +97,6 @@ inline std::vector<double> measure_psi(
   }
   for (double& p : psi) p /= static_cast<double>(trials);
   return psi;
-}
-
-/// The short commit hash the bench binary was built from, stamped into
-/// every trajectory record (injected by CMake; "unknown" outside git).
-#ifndef SPACEFTS_GIT_SHA
-#define SPACEFTS_GIT_SHA "unknown"
-#endif
-
-/// UTC wall-clock stamp ("2026-02-07T12:34:56Z") for trajectory records.
-inline std::string iso_timestamp_utc() {
-  std::tm tm{};
-  const std::time_t now = std::time(nullptr);
-  gmtime_r(&now, &tm);
-  char stamp[32];
-  std::strftime(stamp, sizeof stamp, "%Y-%m-%dT%H:%M:%SZ", &tm);
-  return stamp;
 }
 
 /// Prints a table header: the x-label followed by one column per algorithm.

@@ -1,15 +1,13 @@
 /// \file job.hpp
-/// Batch job execution: one constructed preprocessing stack serving every
-/// request of a same-shape batch.
+/// Request execution: the paper's machinery behind the serving layer.
 ///
-/// This is where the serving layer meets the paper's machinery.  A batch is
-/// a set of requests agreeing on (kind, side, frames, Λ) — so the executor
-/// builds the ingest guard / Algo_OTIS *once* and reuses it for every item,
-/// the same economy an inference server gets from shape-bucketed batching.
-/// Execution is a pure function of each request's JobSpec (datasets and
-/// fault streams are derived from the request seed via
-/// common::derive_stream_seed), which makes every product bit-identical to
-/// the single-request path regardless of batching, worker count, or load.
+/// The server groups requests agreeing on (kind, side, frames, Λ) into a
+/// batch (shape_of), then runs execute_job once per item: each request
+/// builds its own ingest guard or Algo_OTIS.  Execution is a pure function
+/// of the request's JobSpec (datasets and fault streams are derived from
+/// the request seed via common::derive_stream_seed), which makes every
+/// product bit-identical to the single-request path regardless of
+/// batching, worker count, or load.
 #pragma once
 
 #include <cstdint>

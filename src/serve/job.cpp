@@ -66,35 +66,55 @@ core::OperatingPoint resolve_point(const Request& request,
   return point;
 }
 
-RequestResult execute_ngst(const Request& request, bool corrupt_ingress,
-                           const ExecContext& ctx) {
+/// The transit leg: flips bits of the request's payload (headers included
+/// — the sanity layer exists precisely to repair those) with the request's
+/// own replayable fault stream.  Returns the number of bits flipped.
+std::size_t corrupt_in_transit(std::span<std::uint8_t> payload,
+                               const Request& request,
+                               const ExecContext& ctx) {
+  const fault::MessageFaultModel link(ctx.ingress);
+  common::Rng fault_rng(
+      common::derive_stream_seed(ctx.ingress_seed, request.id, kStreamIngress));
+  return link.corrupt(payload, fault_rng);
+}
+
+/// The request's temporal dataset: an NGST readout stack, or a telemetry
+/// channel bank as a 1-row stack (width = channels, height = 1, frames =
+/// samples).
+common::TemporalStack<std::uint16_t> temporal_dataset(const JobSpec& job) {
+  if (job.kind == JobKind::kTelemetry) {
+    datagen::TelemetryParams params;
+    params.channels = job.side;
+    params.samples = job.frames;
+    return datagen::TelemetrySimulator(job.seed).stack(params);
+  }
+  datagen::SceneParams scene;
+  scene.width = job.side;
+  scene.height = job.side;
+  return datagen::NgstSimulator(job.seed).stack(job.frames, scene);
+}
+
+/// The temporal jobs, NGST and telemetry: pack, ingress link, ingest guard,
+/// temporal voter, optional compute backend, then — NGST only — the
+/// optional dist pipeline.  Only the dataset and the guard's expected
+/// height differ between the two kinds.
+RequestResult execute_temporal(const Request& request, bool corrupt_ingress,
+                               const ExecContext& ctx) {
   const JobSpec& job = request.job;
+  const bool telemetry = job.kind == JobKind::kTelemetry;
   RequestResult result;
   result.id = request.id;
   result.kind = job.kind;
 
-  datagen::NgstSimulator sim(job.seed);
-  datagen::SceneParams scene;
-  scene.width = job.side;
-  scene.height = job.side;
-  auto stack = sim.stack(job.frames, scene);
-  auto payload = ingest::IngestGuard::pack(stack);
-
+  auto payload = ingest::IngestGuard::pack(temporal_dataset(job));
   if (corrupt_ingress) {
-    // The transit leg: flip payload bits (headers included — the sanity
-    // layer exists precisely to repair those) with the request's own
-    // replayable fault stream.
-    const fault::MessageFaultModel link(ctx.ingress);
-    common::Rng fault_rng(
-        common::derive_stream_seed(ctx.ingress_seed, request.id,
-                                   kStreamIngress));
-    result.ingress_bits_corrupted = link.corrupt(payload, fault_rng);
+    result.ingress_bits_corrupted = corrupt_in_transit(payload, request, ctx);
   }
 
   ingest::IngestConfig ic;
   ic.expectation.bitpix = 16;
   ic.expectation.width = static_cast<std::int64_t>(job.side);
-  ic.expectation.height = static_cast<std::int64_t>(job.side);
+  ic.expectation.height = telemetry ? 1 : static_cast<std::int64_t>(job.side);
   const core::OperatingPoint point =
       resolve_point(request, ctx, ic.algo.upsilon);
   ic.algo.lambda = point.lambda;
@@ -130,7 +150,7 @@ RequestResult execute_ngst(const Request& request, bool corrupt_ingress,
   std::uint32_t crc =
       edac::crc32(byte_view(ingested.stack.cube().voxels()));
 
-  if (job.run_pipeline) {
+  if (job.run_pipeline && !telemetry) {
     dist::PipelineConfig pc;
     pc.workers = ctx.pipeline_workers;
     pc.fragment_side = ctx.fragment_side;
@@ -170,71 +190,6 @@ RequestResult execute_ngst(const Request& request, bool corrupt_ingress,
   return result;
 }
 
-/// The 1D workload: a telemetry channel bank is a 1-row temporal stack
-/// (width = channels, height = 1, frames = samples), so it rides the exact
-/// NGST path — pack, ingress link, ingest guard, temporal voter, optional
-/// compute backend — with only the dataset generator and the guard's
-/// expected geometry changing.
-RequestResult execute_telemetry(const Request& request, bool corrupt_ingress,
-                                const ExecContext& ctx) {
-  const JobSpec& job = request.job;
-  RequestResult result;
-  result.id = request.id;
-  result.kind = job.kind;
-
-  datagen::TelemetrySimulator sim(job.seed);
-  datagen::TelemetryParams params;
-  params.channels = job.side;
-  params.samples = job.frames;
-  auto stack = sim.stack(params);
-  auto payload = ingest::IngestGuard::pack(stack);
-
-  if (corrupt_ingress) {
-    const fault::MessageFaultModel link(ctx.ingress);
-    common::Rng fault_rng(
-        common::derive_stream_seed(ctx.ingress_seed, request.id,
-                                   kStreamIngress));
-    result.ingress_bits_corrupted = link.corrupt(payload, fault_rng);
-  }
-
-  ingest::IngestConfig ic;
-  ic.expectation.bitpix = 16;
-  ic.expectation.width = static_cast<std::int64_t>(job.side);
-  ic.expectation.height = 1;
-  const core::OperatingPoint point =
-      resolve_point(request, ctx, ic.algo.upsilon);
-  ic.algo.lambda = point.lambda;
-  ic.algo.upsilon = point.upsilon;
-  ic.algo.threads = ctx.algo_threads;
-  ic.algo.kernel = ctx.kernel;
-  result.lambda_eff = point.lambda;
-  result.upsilon_eff = point.upsilon;
-  if (ctx.backend) {
-    ic.executor = [&ctx, &request, &result](
-                      common::TemporalStack<std::uint16_t>& stack,
-                      const core::AlgoNgstConfig& algo) {
-      backend::ComputeOutcome outcome;
-      auto report = ctx.backend->preprocess(
-          stack, algo, backend::ComputeMeta{request.id, 0}, &outcome);
-      result.backend_mismatch |= outcome.shadow_mismatch;
-      return report;
-    };
-  }
-  const ingest::IngestGuard guard(ic);
-  auto ingested = guard.ingest(payload);
-  if (!ingested.ok) {
-    result.status = ServeStatus::kFailed;
-    result.error = "ingest: " + ingested.error;
-    return result;
-  }
-  result.pixels_corrected = ingested.preprocess.pixels_corrected;
-  result.bits_corrected = ingested.preprocess.bits_corrected;
-  result.pixels_vetoed = ingested.preprocess.pixels_vetoed;
-  result.checksum = edac::crc32(byte_view(ingested.stack.cube().voxels()));
-  result.status = ServeStatus::kOk;
-  return result;
-}
-
 RequestResult execute_otis(const Request& request, bool corrupt_ingress,
                            const ExecContext& ctx) {
   const JobSpec& job = request.job;
@@ -253,12 +208,8 @@ RequestResult execute_otis(const Request& request, bool corrupt_ingress,
   auto scene = gen.generate(kind, params);
 
   if (corrupt_ingress) {
-    const fault::MessageFaultModel link(ctx.ingress);
-    common::Rng fault_rng(
-        common::derive_stream_seed(ctx.ingress_seed, request.id,
-                                   kStreamIngress));
-    result.ingress_bits_corrupted =
-        link.corrupt(writable_byte_view(scene.radiance.voxels()), fault_rng);
+    result.ingress_bits_corrupted = corrupt_in_transit(
+        writable_byte_view(scene.radiance.voxels()), request, ctx);
   }
 
   core::AlgoOtisConfig oc;
@@ -331,11 +282,9 @@ RequestResult execute_job(const Request& request, bool corrupt_ingress,
                  {"priority", static_cast<double>(request.priority)});
   try {
     RequestResult result =
-        request.job.kind == JobKind::kNgst
-            ? execute_ngst(request, corrupt_ingress, ctx)
-            : request.job.kind == JobKind::kTelemetry
-                  ? execute_telemetry(request, corrupt_ingress, ctx)
-                  : execute_otis(request, corrupt_ingress, ctx);
+        request.job.kind == JobKind::kOtis
+            ? execute_otis(request, corrupt_ingress, ctx)
+            : execute_temporal(request, corrupt_ingress, ctx);
     result.kernel = core::resolve_kernel(ctx.kernel);
     result.backend = ctx.backend ? ctx.backend->name() : "cpu";
     return result;

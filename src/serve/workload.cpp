@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -13,6 +12,9 @@ namespace spacefts::serve {
 namespace {
 
 using telemetry::jsonl::append_fmt;
+using telemetry::jsonl::find_number;
+using telemetry::jsonl::find_token;
+using telemetry::jsonl::find_unsigned;
 
 /// Sub-stream indices of the generator's derived streams (documented so a
 /// committed workload file can be re-derived forever).
@@ -21,50 +23,6 @@ enum WorkloadStream : std::uint64_t {
   kStreamMix = 1,
   kStreamDataset = 2,
 };
-
-/// Strict double parse of a whole token.
-bool parse_double_token(const std::string& token, double& out) {
-  if (token.empty()) return false;
-  char* end = nullptr;
-  out = std::strtod(token.c_str(), &end);
-  return end == token.c_str() + token.size();
-}
-
-/// Extracts the raw token following `"key":` (up to ',' or '}'),
-/// whitespace-free by construction of to_jsonl.  False when absent.
-bool find_token(std::string_view line, std::string_view key,
-                std::string& out) {
-  std::string needle;
-  needle.reserve(key.size() + 3);
-  needle += '"';
-  needle += key;
-  needle += "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string_view::npos) return false;
-  const auto start = pos + needle.size();
-  auto end = start;
-  while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
-  out.assign(line.substr(start, end - start));
-  return !out.empty();
-}
-
-bool find_number(std::string_view line, std::string_view key, double& out) {
-  std::string token;
-  return find_token(line, key, token) && parse_double_token(token, out);
-}
-
-/// Full-precision unsigned parse (a 64-bit seed does not survive a double
-/// round-trip).
-bool find_u64(std::string_view line, std::string_view key,
-              std::uint64_t& out) {
-  std::string token;
-  if (!find_token(line, key, token) || token.empty() || token[0] == '-') {
-    return false;
-  }
-  char* end = nullptr;
-  out = std::strtoull(token.c_str(), &end, 10);
-  return end == token.c_str() + token.size();
-}
 
 }  // namespace
 
@@ -184,9 +142,9 @@ std::vector<WorkloadItem> parse_workload_jsonl(std::string_view text) {
     double value = 0.0;
     std::string token;
 
-    if (!find_u64(line, "id", req.id)) fail("bad id");
+    if (!find_unsigned(line, "id", req.id)) fail("bad id");
     // Optional for workload files committed before stream affinity existed.
-    if (!find_u64(line, "stream", req.stream)) req.stream = 0;
+    if (!find_unsigned(line, "stream", req.stream)) req.stream = 0;
     if (!find_number(line, "arrival_s", item.arrival_s)) fail("bad arrival_s");
     if (!find_token(line, "kind", token)) fail("missing kind");
     if (token == "\"ngst\"") {
@@ -203,7 +161,7 @@ std::vector<WorkloadItem> parse_workload_jsonl(std::string_view text) {
     if (!find_number(line, "frames", value) || value <= 0) fail("bad frames");
     job.frames = static_cast<std::size_t>(value);
     if (!find_number(line, "lambda", job.lambda)) fail("bad lambda");
-    if (!find_u64(line, "seed", job.seed)) fail("bad seed");
+    if (!find_unsigned(line, "seed", job.seed)) fail("bad seed");
     if (!find_number(line, "priority", value)) fail("bad priority");
     req.priority = static_cast<int>(value);
     if (!find_number(line, "deadline_ms", req.deadline_ms)) {

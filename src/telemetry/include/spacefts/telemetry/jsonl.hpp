@@ -1,18 +1,19 @@
 /// \file jsonl.hpp
 /// Shared JSON / JSON-lines building blocks for every exporter in the tree.
 ///
-/// Three places grew the same three helpers independently — the bench
-/// harnesses (`bench_util.hpp`), the campaign runner, and now the telemetry
-/// exporters: escape a string for a JSON literal, format a double the same
-/// way everywhere (`%.10g`, so artifacts stay byte-identical across
-/// writers), and append a rendered line to a `BENCH_*.json`-style file.
-/// They live here, at the bottom of the dependency stack and header-only,
-/// so every layer can use them without a link edge.
+/// Every artifact writer and reader in the tree shares these: escape a
+/// string for a JSON literal, format a double the same way everywhere
+/// (`%.10g`, so artifacts stay byte-identical across writers), replace a
+/// file whole or fail without touching it, and read a field back out of a
+/// JSON-lines record.  They live here, at the bottom of the dependency stack
+/// and header-only, so every layer can use them without a link edge.
 ///
 /// These helpers are always available regardless of `SPACEFTS_TELEMETRY`.
 #pragma once
 
+#include <concepts>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <string>
@@ -70,19 +71,70 @@ inline void append_fmt(std::string& out, const char* format, double value) {
   out += buf;
 }
 
-/// Appends \p text verbatim to the JSON-lines file at \p path, the shared
-/// accumulation pattern of every BENCH_*.json artifact.  Returns false
-/// (with a message on stderr) when the file cannot be opened.
-[[nodiscard]] inline bool append_file(const std::string& path,
-                                      std::string_view text) {
-  std::FILE* f = std::fopen(path.c_str(), "a");
-  if (f == nullptr) {
-    std::fprintf(stderr, "jsonl: cannot append to %s\n", path.c_str());
+/// Replaces the file at \p path with \p text, the shared write under every
+/// artifact the tree produces.  The text goes to a sibling file first and is
+/// renamed over the target, so a write that fails part-way (disk full, size
+/// limit, a crash) leaves the old file whole instead of truncated; the pid
+/// keeps concurrent writers apart.  Returns false (with a message on stderr,
+/// the old file untouched) when a write, the close or the rename fails.
+[[nodiscard]] inline bool replace_file(const std::string& path,
+                                       std::string_view text) {
+  const std::string staged = path + ".tmp." + std::to_string(::getpid());
+  std::FILE* f = std::fopen(staged.c_str(), "wb");
+  bool ok = f != nullptr;
+  if (ok) {
+    ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+    ok = std::fclose(f) == 0 && ok;
+  }
+  if (!ok || std::rename(staged.c_str(), path.c_str()) != 0) {
+    std::remove(staged.c_str());
+    std::fprintf(stderr, "jsonl: cannot write %s\n", path.c_str());
     return false;
   }
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
   return true;
+}
+
+/// Extracts the raw token following `"key":` (up to ',' or '}'), quotes
+/// included, into \p out — the strict reader under the workload and check
+/// corpus files, whose writers emit no whitespace.  False when the key is
+/// absent or its token empty.
+inline bool find_token(std::string_view line, std::string_view key,
+                       std::string& out) {
+  std::string needle;
+  needle.reserve(key.size() + 3);
+  needle += '"';
+  needle += key;
+  needle += "\":";
+  const auto pos = line.find(needle);
+  if (pos == std::string_view::npos) return false;
+  const auto start = pos + needle.size();
+  auto end = start;
+  while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
+  out.assign(line.substr(start, end - start));
+  return !out.empty();
+}
+
+/// The token of \p key as a double; false unless `strtod` takes all of it.
+inline bool find_number(std::string_view line, std::string_view key,
+                        double& out) {
+  std::string token;
+  if (!find_token(line, key, token)) return false;
+  char* end = nullptr;
+  out = std::strtod(token.c_str(), &end);
+  return end == token.c_str() + token.size();
+}
+
+/// The token of \p key as a full-precision unsigned integer (a 64-bit seed
+/// does not survive a double round-trip); false for a sign or trailing
+/// characters.
+template <std::unsigned_integral Unsigned>
+bool find_unsigned(std::string_view line, std::string_view key,
+                   Unsigned& out) {
+  std::string token;
+  if (!find_token(line, key, token) || token[0] == '-') return false;
+  char* end = nullptr;
+  out = static_cast<Unsigned>(std::strtoull(token.c_str(), &end, 10));
+  return end == token.c_str() + token.size();
 }
 
 /// Extracts the raw token following `"key":` in a JSON-lines record — just
@@ -114,9 +166,9 @@ inline void append_fmt(std::string& out, const char* format, double value) {
 /// Rewrites the JSONL file at \p path so it holds exactly one row per
 /// configuration, then appends the rows of \p text (each ending in '\n').
 /// `key_of` maps a row to its configuration identity; among duplicates the
-/// newest row wins.  This is the shared upsert under every BENCH_*.json
-/// recorder — re-running a bench or campaign replaces its rows instead of
-/// accumulating them.  The file is replaced by a rename, so a reader or an
+/// newest row wins.  This is the upsert under `BENCH_campaign.json` —
+/// re-running a campaign replaces its rows instead of accumulating them.
+/// The file is rewritten through replace_file, so a reader or an
 /// interrupted writer sees either the old rows or the new ones.  Returns
 /// false (with a message on stderr, the old file untouched) when the file
 /// cannot be rewritten.
@@ -162,19 +214,7 @@ inline bool upsert_jsonl(
       out_text += '\n';
     }
   }
-  // Write a sibling file and rename it over the target, so a write that
-  // fails part-way (disk full, size limit, a crash) leaves the old file
-  // whole instead of truncated.  The pid keeps concurrent writers apart.
-  const std::string staged = path + ".tmp." + std::to_string(::getpid());
-  std::ofstream out(staged, std::ios::trunc | std::ios::binary);
-  out << out_text;
-  out.close();
-  if (!out || std::rename(staged.c_str(), path.c_str()) != 0) {
-    std::remove(staged.c_str());
-    std::fprintf(stderr, "jsonl: cannot rewrite %s\n", path.c_str());
-    return false;
-  }
-  return true;
+  return replace_file(path, out_text);
 }
 
 }  // namespace spacefts::telemetry::jsonl

@@ -291,8 +291,9 @@ void set_ring_capacity(std::size_t events);
 /// JSON-lines ({"bench":"telemetry",...} per line).  Implies flush().
 [[nodiscard]] std::string metrics_jsonl();
 
-/// Writes trace_json() / metrics_jsonl() to \p path (truncating).
-/// Returns false when the file cannot be written.
+/// Replaces \p path with trace_json() / metrics_jsonl() through
+/// jsonl::replace_file.  Returns false, the old file whole, when the file
+/// cannot be written.
 [[nodiscard]] bool write_trace(const std::string& path);
 [[nodiscard]] bool write_metrics(const std::string& path);
 

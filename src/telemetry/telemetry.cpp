@@ -205,17 +205,6 @@ double bucket_lower(std::size_t index) {
   return std::ldexp(1.0, Histogram::kMinExp + static_cast<int>(index) - 1);
 }
 
-bool write_text(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "telemetry: cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  return true;
-}
-
 }  // namespace
 
 void set_enabled(bool on) noexcept {
@@ -543,11 +532,11 @@ std::string metrics_jsonl() {
 }
 
 bool write_trace(const std::string& path) {
-  return write_text(path, trace_json());
+  return jsonl::replace_file(path, trace_json());
 }
 
 bool write_metrics(const std::string& path) {
-  return write_text(path, metrics_jsonl());
+  return jsonl::replace_file(path, metrics_jsonl());
 }
 
 void reset() {

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstdint>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -638,4 +639,74 @@ TEST(Telemetry, WorkloadMixAndJsonlRoundTrip) {
   for (const auto& item : ss::generate_workload(spec)) {
     EXPECT_NE(item.request.job.kind, ss::JobKind::kTelemetry);
   }
+}
+
+// ------------------------------------------------------- payload pin ---
+
+// The rendered payload of one small request of each job kind — NGST,
+// telemetry, OTIS, NGST with the dist pipeline — clean and with ingress
+// corruption, byte for byte.  The replay tests prove results are stable
+// across threads and batching; this one proves they are the same results
+// as before a refactor of the job paths.  The SWAR kernel keeps the
+// "kernel" field host-independent (every kernel's products are identical).
+TEST(JobPayload, RenderedResultsArePinnedPerKind) {
+  ss::ExecContext exec;
+  exec.kernel = spacefts::core::Kernel::kSwar;
+  exec.fragment_side = 8;
+  exec.ingress.corrupt_gamma0 = 2e-5;
+  std::vector<ss::RequestResult> results;
+  for (std::uint64_t id = 0; id < 8; ++id) {
+    ss::Request req;
+    req.id = id;
+    req.job.seed = 4000 + id;
+    req.job.kind = ss::JobKind::kNgst;
+    req.job.side = 16;
+    req.job.frames = 4;
+    if (id % 4 == 1) {
+      req.job.kind = ss::JobKind::kTelemetry;
+      req.job.side = 8;
+      req.job.frames = 12;
+    } else if (id % 4 == 2) {
+      req.job.kind = ss::JobKind::kOtis;
+      req.job.side = 8;
+      req.job.frames = 3;
+    } else if (id % 4 == 3) {
+      req.job.run_pipeline = true;
+      req.job.gamma0 = 1e-3;
+      req.job.link_loss = 0.05;
+    }
+    results.push_back(ss::execute_job(req, /*corrupt_ingress=*/id >= 4, exec));
+  }
+  const char* kTail =
+      "\"coverage\":1,\"lambda_eff\":80,\"upsilon_eff\":4,\"kernel\":\"swar\","
+      "\"shard\":0,\"backend\":\"cpu\"}\n";
+  const char* kRows[] = {
+      "{\"id\":0,\"kind\":\"ngst\",\"status\":\"ok\",\"checksum\":2210003481,"
+      "\"pixels_corrected\":0,\"bits_corrected\":0,\"pixels_vetoed\":1,"
+      "\"ingress_bits\":0,",
+      "{\"id\":1,\"kind\":\"telemetry\",\"status\":\"ok\",\"checksum\":"
+      "2535685840,\"pixels_corrected\":0,\"bits_corrected\":0,"
+      "\"pixels_vetoed\":5,\"ingress_bits\":0,",
+      "{\"id\":2,\"kind\":\"otis\",\"status\":\"ok\",\"checksum\":3474835975,"
+      "\"pixels_corrected\":5,\"bits_corrected\":5,\"pixels_vetoed\":0,"
+      "\"ingress_bits\":0,",
+      "{\"id\":3,\"kind\":\"ngst\",\"status\":\"ok\",\"checksum\":834116758,"
+      "\"pixels_corrected\":2,\"bits_corrected\":0,\"pixels_vetoed\":1,"
+      "\"ingress_bits\":0,",
+      "{\"id\":4,\"kind\":\"ngst\",\"status\":\"ok\",\"checksum\":4062398284,"
+      "\"pixels_corrected\":0,\"bits_corrected\":0,\"pixels_vetoed\":0,"
+      "\"ingress_bits\":4,",
+      "{\"id\":5,\"kind\":\"telemetry\",\"status\":\"failed\",\"checksum\":0,"
+      "\"pixels_corrected\":0,\"bits_corrected\":0,\"pixels_vetoed\":0,"
+      "\"ingress_bits\":8,",
+      "{\"id\":6,\"kind\":\"otis\",\"status\":\"ok\",\"checksum\":625885382,"
+      "\"pixels_corrected\":25,\"bits_corrected\":24,\"pixels_vetoed\":0,"
+      "\"ingress_bits\":1,",
+      "{\"id\":7,\"kind\":\"ngst\",\"status\":\"ok\",\"checksum\":306663901,"
+      "\"pixels_corrected\":1,\"bits_corrected\":0,\"pixels_vetoed\":0,"
+      "\"ingress_bits\":5,",
+  };
+  std::string expected;
+  for (const char* row : kRows) expected += std::string(row) + kTail;
+  EXPECT_EQ(ss::results_to_jsonl(results), expected);
 }

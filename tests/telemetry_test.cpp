@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <csignal>
+#include <cstdint>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -369,7 +370,85 @@ std::string key_before_comma(std::string_view row) {
   return std::string(row.substr(0, row.find(',')));
 }
 
+/// Runs \p write under a 64-byte file-size limit with SIGXFSZ ignored, so
+/// any write past 64 bytes fails the way a full disk would.
+template <typename Write>
+bool under_small_file_limit(Write write) {
+  rlimit saved{};
+  EXPECT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit small = saved;
+  small.rlim_cur = 64;
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &small), 0);
+  const bool ok = write();
+  ::setrlimit(RLIMIT_FSIZE, &saved);
+  std::signal(SIGXFSZ, old_handler);
+  return ok;
+}
+
+std::string rows(int count) {
+  std::string text;
+  for (int i = 0; i < count; ++i) text += "row" + std::to_string(i) + ",x\n";
+  return text;
+}
+
 }  // namespace
+
+TEST(JsonlReplaceFile, ReplacesTheFileAndLeavesNoStagingFile) {
+  const ScratchDir dir("jsonl_replace");
+  const std::string path = dir.file("artifact.jsonl");
+  ASSERT_TRUE(st::jsonl::replace_file(path, "old\n"));
+  ASSERT_TRUE(st::jsonl::replace_file(path, "new\n"));
+  EXPECT_EQ(slurp(path), "new\n");
+  EXPECT_EQ(dir.entries(), 1u);
+}
+
+// A short write must be reported, not hidden behind a buffered stream: the
+// small text fails only when close flushes it, the large one in fwrite
+// itself.  Either way the old file stays whole and no staged file is left.
+TEST(JsonlReplaceFile, FailedWriteReturnsFalseAndLeavesTheOriginalWhole) {
+  const ScratchDir dir("jsonl_replace_fail");
+  const std::string path = dir.file("artifact.jsonl");
+  ASSERT_TRUE(st::jsonl::replace_file(path, "kept\n"));
+  for (const int count : {20, 20000}) {
+    const std::string text = rows(count);
+    EXPECT_FALSE(under_small_file_limit(
+        [&] { return st::jsonl::replace_file(path, text); }))
+        << text.size() << " bytes";
+    EXPECT_EQ(slurp(path), "kept\n");
+    EXPECT_EQ(dir.entries(), 1u) << "the staged file must be cleaned up";
+  }
+}
+
+TEST(JsonlFields, StrictReadersTakeWholeTokensOnly) {
+  namespace jsonl = st::jsonl;
+  const std::string_view line =
+      R"({"kind":"ngst","n":12,"neg":-3,"x":1.5e3,"bad":12x,"empty":,)"
+      R"("seed":18446744073709551615})";
+  std::string token;
+  ASSERT_TRUE(jsonl::find_token(line, "kind", token));
+  EXPECT_EQ(token, "\"ngst\"");
+  EXPECT_FALSE(jsonl::find_token(line, "empty", token));
+  EXPECT_FALSE(jsonl::find_token(line, "absent", token));
+
+  double number = 0.0;
+  EXPECT_TRUE(jsonl::find_number(line, "x", number));
+  EXPECT_EQ(number, 1500.0);
+  EXPECT_TRUE(jsonl::find_number(line, "neg", number));
+  EXPECT_EQ(number, -3.0);
+  EXPECT_FALSE(jsonl::find_number(line, "bad", number));
+  EXPECT_FALSE(jsonl::find_number(line, "kind", number));
+
+  std::uint64_t seed = 0;
+  EXPECT_TRUE(jsonl::find_unsigned(line, "seed", seed));
+  EXPECT_EQ(seed, 18446744073709551615ULL);  // beyond a double's precision
+  std::size_t size = 0;
+  EXPECT_TRUE(jsonl::find_unsigned(line, "n", size));
+  EXPECT_EQ(size, 12u);
+  EXPECT_FALSE(jsonl::find_unsigned(line, "neg", size));
+  EXPECT_FALSE(jsonl::find_unsigned(line, "bad", size));
+  EXPECT_FALSE(jsonl::find_unsigned(line, "x", size));
+}
 
 TEST(JsonlUpsert, ReplacesKeyedRowsAndLeavesNoStagingFile) {
   const ScratchDir dir("jsonl_upsert");
@@ -389,19 +468,9 @@ TEST(JsonlUpsert, FailedWriteLeavesTheOriginalWhole) {
   ASSERT_TRUE(st::jsonl::upsert_jsonl("kept,1\n", key_before_comma, path));
   const std::string before = slurp(path);
 
-  std::string big;
-  for (int i = 0; i < 200; ++i) big += "row" + std::to_string(i) + ",x\n";
-  rlimit saved{};
-  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
-  rlimit small = saved;
-  small.rlim_cur = 64;
-  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
-  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &small), 0);
-  const bool ok = st::jsonl::upsert_jsonl(big, key_before_comma, path);
-  ::setrlimit(RLIMIT_FSIZE, &saved);
-  std::signal(SIGXFSZ, old_handler);
-
-  EXPECT_FALSE(ok);
+  const std::string big = rows(200);
+  EXPECT_FALSE(under_small_file_limit(
+      [&] { return st::jsonl::upsert_jsonl(big, key_before_comma, path); }));
   EXPECT_EQ(slurp(path), before);
   EXPECT_EQ(dir.entries(), 1u) << "the staged file must be cleaned up";
 }

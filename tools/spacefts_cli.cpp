@@ -66,6 +66,8 @@
 
 namespace {
 
+using spacefts::telemetry::jsonl::replace_file;
+
 constexpr int kExitFailure = 1;  ///< the operation itself failed
 constexpr int kExitUsage = 2;    ///< unknown verb / wrong positional count
 constexpr int kExitBadFlag = 3;  ///< see the file comment
@@ -461,15 +463,6 @@ int check_backend(const Args& args) {
   return shadowed;
 }
 
-/// Replaces \p path with \p text; on failure reports it as \p who.
-[[nodiscard]] bool write_text(const char* who, const std::string& path,
-                              const std::string& text) {
-  std::ofstream out(path, std::ios::trunc);
-  if (out << text) return true;
-  std::fprintf(stderr, "%s: cannot write %s\n", who, path.c_str());
-  return false;
-}
-
 /// Reads all of \p path into \p text; on failure reports it as \p who.
 [[nodiscard]] bool read_text(const char* who, const std::string& path,
                              std::string& text) {
@@ -489,8 +482,9 @@ int check_backend(const Args& args) {
 [[nodiscard]] bool write_backend_log(
     const Args& args,
     const std::shared_ptr<spacefts::backend::ShadowBackend>& shadow) {
-  return write_text("spacefts_cli", args.text("--backend-log"),
-                    spacefts::backend::decisions_to_jsonl(shadow->decisions()));
+  return replace_file(
+      args.text("--backend-log"),
+      spacefts::backend::decisions_to_jsonl(shadow->decisions()));
 }
 
 /// Turns telemetry recording on before the instrumented run starts when
@@ -920,7 +914,7 @@ int finish_campaign(const Args& args, const std::string& path,
     }
   }
   const std::string rows = camp::to_jsonl(report);
-  if (kDrift ? !write_text("campaign", path, rows)
+  if (kDrift ? !replace_file(path, rows)
              : !spacefts::telemetry::jsonl::upsert_jsonl(
                    rows, camp::campaign_row_key, path)) {
     return kExitFailure;
@@ -1138,7 +1132,7 @@ int cmd_serve(const Args& args) {
     items = spacefts::serve::generate_workload(spec);
   }
   if (!workload_out.empty()) {
-    if (!write_text("serve", workload_out, spacefts::serve::to_jsonl(items))) {
+    if (!replace_file(workload_out, spacefts::serve::to_jsonl(items))) {
       return kExitFailure;
     }
     std::printf("wrote workload %s (%zu requests)\n", workload_out.c_str(),
@@ -1282,8 +1276,8 @@ int cmd_serve(const Args& args) {
                 bank->stream_count(), bank->decisions().size());
   }
   if (bank && !control_out.empty()) {
-    if (!write_text("serve", control_out,
-                    spacefts::control::decisions_to_jsonl(bank->decisions()))) {
+    if (!replace_file(control_out, spacefts::control::decisions_to_jsonl(
+                                       bank->decisions()))) {
       return kExitFailure;
     }
     std::printf("wrote control decisions %s\n", control_out.c_str());
@@ -1291,8 +1285,8 @@ int cmd_serve(const Args& args) {
 
   if (args.has("--results-out")) {
     const std::string results_out = args.text("--results-out");
-    if (!write_text("serve", results_out,
-                    spacefts::serve::results_to_jsonl(std::move(results)))) {
+    if (!replace_file(results_out,
+                      spacefts::serve::results_to_jsonl(std::move(results)))) {
       return kExitFailure;
     }
     std::printf("wrote results %s\n", results_out.c_str());
@@ -1346,8 +1340,7 @@ int cmd_check(const Args& args) {
         specs.push_back(failure.spec);
       }
     }
-    if (!write_text("check", corpus_out,
-                    spacefts::check::corpus_to_jsonl(specs))) {
+    if (!replace_file(corpus_out, spacefts::check::corpus_to_jsonl(specs))) {
       return kExitFailure;
     }
     std::fprintf(stderr, "check: wrote %zu failing case(s) to %s\n",
